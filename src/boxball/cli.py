@@ -136,8 +136,7 @@ def cmd_speed(args) -> int:
     K = parse_capacity(args.K, "K")
     mu = pmf_from_text(args.mu)
     seed = args.seed if args.seed is not None else secrets.randbits(48)
-    est = speed_estimate(J, K, mu, args.t_max, args.replicas, seed,
-                         threads=args.threads)
+    est = speed_estimate(J, K, mu, args.t_max, args.replicas, seed)
     print(f"seed={seed} estimate={_fmt(est.ratio_estimate)} "
           f"std_error={_fmt(est.std_error)} theoretical={_fmt(est.theoretical)} "
           f"t_max={est.t_max} replicas={est.replicas}")
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=2000)
     p.add_argument("--replicas", type=int, default=32)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="")
     p.add_argument("--out-csv", default="")
     p.add_argument("--strict", action="store_true")

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import stats
 
-from .capacities import Capacity
+from .capacities import INF, Capacity
 from .carrier import CarrierPath, sweep_row
-from .errors import InvalidParams, TrackedBallAbsent, WindowExceeded
+from .errors import InvalidParams
 from .evolution import SpaceTimeBlock, current_column
 from .lattice import Config, IidInvariant
 from .measures import (
@@ -42,8 +41,9 @@ class RngSpec:
     master_seed: int
     replica_index: int = 0
 
-    def stream(self, role: str, attempt: int = 0) -> np.random.Generator:
-        key = (self.replica_index, _ROLE_IDS[role], attempt)
+    def stream(self, role: str) -> np.random.Generator:
+        # the third key word is fixed at 0 so the streams keep their values
+        key = (self.replica_index, _ROLE_IDS[role], 0)
         return np.random.default_rng(
             np.random.SeedSequence(self.master_seed, spawn_key=key))
 
@@ -248,54 +248,72 @@ class SpeedEstimate:
         return recs
 
 
+def _diagonal_map(J: Capacity, K: Capacity, a: np.ndarray,
+                  b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The local map on int64 arrays of occupancies a and loads b; an infinite
+    capacity is branched on, as it limits nothing and is not an integer."""
+    deposit = b if J == INF else np.minimum(b, J - a)
+    pickup = a if K == INF else np.minimum(a, K - b)
+    return a + deposit - pickup, b - deposit + pickup
+
+
+_DRAW_CHUNK = 256
+
+
+def _draw_sites(mu: Pmf, rng: np.random.Generator) -> Iterator[int]:
+    """Initial-row sites 1, 2, ... drawn on demand in chunks; the chunks
+    equal one long ``sample_pmf`` draw from the same generator."""
+    while True:
+        yield from sample_pmf(mu, rng, _DRAW_CHUNK).tolist()
+
+
 def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
-                       t_max: int, L: int, spec: RngSpec,
-                       attempt: int) -> Dict[str, float]:
-    """Evolve one sampled window tracking the left-most ball at site >= 1 by
-    its queue position; raises WindowExceeded if it reaches the right edge."""
-    eta = sample_pmf(mu, spec.stream("window", attempt), L)
-    currents = sample_pmf(nu, spec.stream("currents", attempt), t_max)
-    nz = np.nonzero(eta)[0]
-    if len(nz) == 0:
-        raise TrackedBallAbsent("sampled window holds no ball")
-    site = int(nz[0])        # 0-based index of lattice site 1 + site
-    rank = 1
-    x0 = site + 1
-    for t in range(t_max):
-        seed = int(currents[t])
-        w, teta = sweep_row(J, K, eta, seed)
-        w_prev = seed if site == 0 else int(w[site - 1])
-        pos = w_prev + rank
-        if pos <= teta[site]:
-            rank = pos
-        else:
-            p = pos - int(teta[site])
-            j = site + 1
-            while True:
-                if j >= L:
-                    raise WindowExceeded("tagged ball reached the window edge")
-                if p <= teta[j]:
-                    site, rank = j, p
+                       t_max: int, spec: RngSpec) -> Dict[str, float]:
+    """Track the left-most ball at site >= 1 for t_max steps, filling the
+    block one anti-diagonal t + n = d at a time: cell (t, n) takes its
+    occupancy from (t-1, n) and its load from (t, n-1), so a diagonal is one
+    elementwise local map.  ``occ[t]``, ``load[t]`` feed row t's next cell.
+    The ball's pool (entering queue, then box) follows ``tagged_evolve``."""
+    sites = _draw_sites(mu, spec.stream("window"))
+    load = sample_pmf(nu, spec.stream("currents"), t_max)  # row t joins at d = t
+    occ = np.zeros(t_max, dtype=np.int64)
+    row = -1    # row of the ball's next cell; -1 until the ball is found
+    rank = cells = d = 0    # rank: place in the pool from the first box ball
+    while True:
+        occ[0] = site0 = next(sites)
+        m = min(d + 1, t_max)
+        a, b = _diagonal_map(J, K, occ[:m], load[:m])
+        cells += m
+        if row < 0 and site0 > 0:
+            row, rank, x0 = 0, 1, d + 1
+        if row >= 0:
+            pos = int(load[row]) + rank
+            if pos <= a[row]:
+                row, rank = row + 1, pos
+                if row == t_max:
                     break
-                p -= int(teta[j])
-                j += 1
-        eta = teta
-    x_final = site + 1
+            else:       # the pool's tail rides on, ahead of the next box
+                rank -= int(occ[row])
+        load[:m] = b
+        occ[1:m + 1] = a[:t_max - 1]
+        d += 1
+    x_final = d - t_max + 2
     return {"replica": float(spec.replica_index), "x0": float(x0),
             "x_final": float(x_final), "ratio": x_final / t_max,
-            "window": float(L), "attempt": float(attempt)}
+            "window": float(d + 1), "attempt": 0.0, "cells": float(cells)}
 
 
 def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
-                   replicas: int, rng: Union[int, RngSpec],
-                   safety: float = 1.5, max_growth: int = 2,
-                   threads: int = 1) -> SpeedEstimate:
-    """Monte Carlo estimate of the tagged-particle speed with the window
-    sized from the theoretical drift (dual mean over measure mean) and grown
-    on demand; aggregation order is fixed so results are independent of the
-    thread count."""
+                   replicas: int, rng: Union[int, RngSpec]) -> SpeedEstimate:
+    """Monte Carlo estimate of the tagged-particle speed (theory: dual mean
+    over measure mean).  Replica r uses the streams of ``RngSpec(seed, r)``
+    and records ``x0``, ``x_final``, ``window`` (initial sites drawn:
+    sites 1..window, about t_max + x_final), ``cells`` (cells updated) and
+    ``attempt`` (always 0: sites are drawn on demand, so none run out)."""
     if J == K:
         raise InvalidParams("speed is identically 1 when J = K; nothing to estimate")
+    if t_max < 1 or replicas < 1:
+        raise InvalidParams(f"need t_max, replicas >= 1, got {t_max}, {replicas}")
     if mu.at(0) == 1.0:
         raise InvalidParams("measure must place mass on nonzero occupancies")
     result = classify_invariant(J, K, mu)
@@ -305,24 +323,8 @@ def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
     nu = result.dual
     theoretical = mean_occupancy(nu) / mean_occupancy(mu)
     master = _as_master_seed(rng)
-    L0 = int(math.ceil(safety * (1 + math.ceil(theoretical)) * t_max)) + 8
-
-    def run(rep: int) -> Dict[str, float]:
-        L = L0
-        for attempt in range(max_growth + 1):
-            try:
-                return _track_one_replica(
-                    J, K, mu, nu, t_max, L, RngSpec(master, rep), attempt)
-            except WindowExceeded:
-                L *= 2
-        raise WindowExceeded(
-            f"replica {rep}: ball escaped windows up to {L // 2} cells")
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run, range(replicas)))
-    else:
-        records = [run(rep) for rep in range(replicas)]
+    records = [_track_one_replica(J, K, mu, nu, t_max, RngSpec(master, rep))
+               for rep in range(replicas)]
     ratios = np.array([r["ratio"] for r in records])
     se = float(ratios.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return SpeedEstimate(float(ratios.mean()), se, theoretical, t_max,

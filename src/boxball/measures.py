@@ -26,6 +26,7 @@ from .errors import (
 from .local_rules import local_map
 
 _SUM_TOL = 1e-12
+_TAIL_EPS = 1e-13   # tail mass cut from stbGeo and dual pmfs on infinite support
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +141,17 @@ def stbgeo_params(N: Capacity, alpha: float, beta: float, m: int = 1) -> StbGeoP
     return StbGeoParams(N, float(alpha), float(beta), m, 1.0 / total)
 
 
-def stbgeo(N: Capacity, alpha: float, beta: float, m: int = 1,
-           tail_eps: float = 1e-12) -> Pmf:
+def stbgeo(N: Capacity, alpha: float, beta: float, m: int = 1) -> Pmf:
     """The stbGeo pmf over occupancies (zeros interleave between multiples
-    of m); for N = inf the tail beyond mass tail_eps is dropped and the pmf
-    is marked truncated."""
+    of m); for N = inf the tail beyond mass 1e-13 is dropped, as in
+    ``dual_measure``, and the pmf is marked truncated."""
     par = stbgeo_params(N, alpha, beta, m)
     if N == INF:
-        # smallest X with remaining tail mass below tail_eps
+        # smallest X with remaining tail mass below _TAIL_EPS
         vals = []
         tail = 1.0
         x = 0
-        while tail > tail_eps:
+        while tail > _TAIL_EPS:
             w = par.pmf_value(x)
             vals.append(w)
             tail -= w
@@ -294,8 +294,7 @@ def mrev_member(J: Capacity, K: Capacity, mu: Pmf) -> bool:
     return 2 * r_val(J, mu) < J
 
 
-def dual_measure(J: Capacity, K: Capacity, mu: Pmf,
-                 tail_eps: float = 1e-13) -> Pmf:
+def dual_measure(J: Capacity, K: Capacity, mu: Pmf) -> Pmf:
     """Law of the carrier load under an i.i.d.-mu configuration: the
     stationary distribution of the load chain on the recurrent class it
     reaches from r(mu), solved by subtraction-free GTH state reduction
@@ -303,10 +302,10 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf,
 
     For K = inf the chain is truncated at a cap that starts at
     max(32, 4 len(mu)) and doubles until the last max(4, cap/16) entries
-    of the solution sum below tail_eps.  That tail test is sound because
+    of the solution sum below 1e-13.  That tail test is sound because
     GTH computes tail entries to relative accuracy, not to an absolute
     noise floor; the returned pmf is then cut where its remaining tail
-    drops below tail_eps and marked truncated.
+    drops below 1e-13, as in ``stbgeo``, and marked truncated.
     """
     if not mrev_member(J, K, mu):
         raise NotInMrev(f"measure with r={r_val(J, mu)} not reversible for "
@@ -322,14 +321,14 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf,
     while True:
         kernel = w_chain(J, K, mu, state_cap=cap, leak_tol=math.inf)
         pi = _stationary_on_class(kernel, start=r)
-        if pi[-max(4, cap // 16):].sum() < tail_eps:
+        if pi[-max(4, cap // 16):].sum() < _TAIL_EPS:
             break
         cap *= 2
         if cap > 1 << 20:
             raise TruncationTooSmall("stationary tail does not decay")
-    # cut where the remaining tail is below tail_eps, keep the pmf truncated
+    # cut where the remaining tail is below _TAIL_EPS, keep the pmf truncated
     cum = np.cumsum(pi[::-1])[::-1]
-    keep = np.nonzero(cum >= tail_eps)[0]
+    keep = np.nonzero(cum >= _TAIL_EPS)[0]
     hi = int(keep[-1]) + 1 if len(keep) else 1
     pi = pi[:hi]
     if pi.sum() > 1.0:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boxball import (
     Config,
@@ -18,8 +19,11 @@ from boxball import (
     stbgeo,
     tagged_evolve,
     tagged_state,
+    uniform,
 )
+from boxball import experiments
 from boxball.errors import InvalidParams
+from boxball.local_rules import local_map
 from boxball.measures import sample_pmf
 
 
@@ -151,35 +155,67 @@ def test_speed_preconditions():
         speed_estimate(1, 2, Pmf((1.0, 0.0)), 10, 2, rng=1)
     with pytest.raises(InvalidParams):
         speed_estimate(2, 3, Pmf((0.5, 0.1, 0.4)), 10, 2, rng=1)
+    for t_max, replicas in ((0, 2), (10, 0)):
+        with pytest.raises(InvalidParams):
+            speed_estimate(1, INF, bernoulli(0.25), t_max, replicas, rng=1)
 
 
 def test_speed_smoke_and_reproducible():
     est = speed_estimate(1, INF, bernoulli(0.25), t_max=300, replicas=6, rng=77)
-    assert est.theoretical == pytest.approx(2.0, abs=1e-9)  # dual tail cut at 1e-12
+    assert est.theoretical == pytest.approx(2.0, abs=1e-9)  # dual tail cut at 1e-13
     assert abs(est.ratio_estimate - 2.0) / 2.0 < 0.15
     est2 = speed_estimate(1, INF, bernoulli(0.25), t_max=300, replicas=6, rng=77)
     assert est2.ratio_estimate == est.ratio_estimate
-    est3 = speed_estimate(1, INF, bernoulli(0.25), t_max=300, replicas=6,
-                          rng=77, threads=3)
-    assert est3.ratio_estimate == est.ratio_estimate
 
 
-def test_speed_tracker_matches_tagged_evolve():
-    J, K = 2, 5
-    mu = stbgeo(2, 0.5, 1, 1)
-    t_max, master = 12, 99
-    est = speed_estimate(J, K, mu, t_max=t_max, replicas=3, rng=master)
-    nu = classify_invariant(J, K, mu).dual
-    for rec in est.per_replica:
-        spec = RngSpec(master, int(rec["replica"]))
-        L, attempt = int(rec["window"]), int(rec["attempt"])
-        eta = sample_pmf(mu, spec.stream("window", attempt), L)
-        currents = sample_pmf(nu, spec.stream("currents", attempt), t_max)
-        c = Config(1, tuple(int(v) for v in eta), J,
-                   IidInvariant(tuple(int(v) for v in currents)))
-        traj, _ = tagged_evolve(J, K, tagged_state(c), t_max)
-        assert traj[0][0] == int(rec["x0"])
-        assert traj[-1][0] == int(rec["x_final"])
+def test_speed_tracker_matches_tagged_evolve(monkeypatch):
+    # a small draw chunk so that every ball crosses several chunks; the
+    # regimes run in one test so that it keeps its id
+    chunk = 16
+    monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+    t_max, master = 100, 99
+    for J, K, mu in [(2, 5, stbgeo(2, 0.5, 1, 1)),        # J < K < inf
+                     (4, 2, uniform(4)),                  # J > K
+                     (1, INF, bernoulli(0.25)),           # K = inf
+                     (INF, 2, stbgeo(INF, 0.5, 1, 1))]:   # J = inf
+        est = speed_estimate(J, K, mu, t_max=t_max, replicas=3, rng=master)
+        nu = classify_invariant(J, K, mu).dual
+        for rec in est.per_replica:
+            assert rec["attempt"] == 0
+            assert rec["x_final"] > 2 * chunk
+            spec = RngSpec(master, int(rec["replica"]))
+            L = int(rec["window"])
+            assert rec["cells"] == sum(min(d + 1, t_max) for d in range(L))
+            eta = sample_pmf(mu, spec.stream("window"), L)
+            currents = sample_pmf(nu, spec.stream("currents"), t_max)
+            c = Config(1, tuple(int(v) for v in eta), J,
+                       IidInvariant(tuple(int(v) for v in currents)))
+            traj, _ = tagged_evolve(J, K, tagged_state(c), t_max)
+            assert traj[0][0] == int(rec["x0"]), (J, K)
+            assert traj[-1][0] == int(rec["x_final"]), (J, K)
+
+
+def test_tracker_chunked_draws_equal_one_draw(monkeypatch):
+    monkeypatch.setattr(experiments, "_DRAW_CHUNK", 7)
+    mu = stbgeo(INF, 0.5, 1, 1)
+    sites = experiments._draw_sites(mu, RngSpec(3, 1).stream("window"))
+    chunked = [next(sites) for _ in range(15 * 7)]
+    whole = sample_pmf(mu, RngSpec(3, 1).stream("window"), 15 * 7)
+    assert chunked == whole.tolist()
+
+
+_CAPS = st.sampled_from([1, 2, 3, 5, INF])
+
+
+@settings(max_examples=80)
+@given(_CAPS, _CAPS, st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                              min_size=1, max_size=12))
+def test_diagonal_map_equals_local_map(J, K, pairs):
+    pairs = [(min(a, J), min(b, K)) for a, b in pairs]
+    a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    a2, b2 = experiments._diagonal_map(J, K, a, b)
+    assert a2.dtype == b2.dtype == np.int64
+    assert list(zip(a2.tolist(), b2.tolist())) == [local_map(J, K, p) for p in pairs]
 
 
 def test_speed_jsonl_records():
