@@ -2,19 +2,22 @@
 
 A block is written as three files: the occupancy rectangle, the carrier
 rectangle (one row per time step, header ``t,n<site>,...``) and the left
-boundary currents.  All values are decimal integers.
+boundary currents.  All values are decimal integers; a blank entry is a site
+left of the row's window or an undetermined current.  The floor of a Detect
+boundary is not stored, so a block whose currents are all blank reads back
+with ``Detect()`` (floor 0).
 """
 
 from __future__ import annotations
 
 import csv
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .capacities import Capacity
 from .carrier import CarrierPath
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock
-from .lattice import Config, IidInvariant, SeededCarrier
+from .lattice import Config, Detect, IidInvariant
 
 
 def _sibling(path: str, tag: str) -> str:
@@ -23,29 +26,23 @@ def _sibling(path: str, tag: str) -> str:
     return path + f".{tag}.csv"
 
 
+def _write_grid(path: str, rows: Sequence[Union[Config, CarrierPath]]) -> None:
+    """One line per row over the sites of row 0, blank outside the row."""
+    sites = range(rows[0].offset, rows[0].end + 1)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t"] + [f"n{n}" for n in sites])
+        for t, r in enumerate(rows):
+            w.writerow([t] + [r.at(n) if r.offset <= n <= r.end else "" for n in sites])
+
+
 def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
     """Write occupancies to ``path`` plus carrier and current files beside
     it; returns the three paths."""
     carrier_path = _sibling(path, "carrier")
     currents_path = _sibling(path, "currents")
-
-    cfg0 = block.rows[0][0]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"n{n}" for n in range(cfg0.offset, cfg0.end + 1)])
-        for t, (cfg, _) in enumerate(block.rows):
-            w.writerow([t] + [cfg.at(n) for n in range(cfg0.offset, cfg0.end + 1)])
-
-    w0 = block.rows[0][1]
-    with open(carrier_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"n{n}" for n in range(w0.offset, w0.end + 1)])
-        for t, (_, wp) in enumerate(block.rows):
-            row: List[object] = [t]
-            for n in range(w0.offset, w0.end + 1):
-                row.append(wp.at(n) if wp.offset <= n <= wp.end else "")
-            w.writerow(row)
-
+    _write_grid(path, [cfg for cfg, _ in block.rows])
+    _write_grid(carrier_path, [w for _, w in block.rows])
     with open(currents_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "current"])
@@ -59,33 +56,34 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
     carrier_path = _sibling(path, "carrier")
     currents_path = _sibling(path, "currents")
 
-    def read_grid(p: str) -> Tuple[int, List[List[Optional[int]]]]:
+    def read_grid(p: str) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(offset, values) per row; the blanks lie left of the row."""
         with open(p, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or not rows[0] or rows[0][0] != "t":
             raise InvalidParams(f"{p}: missing block header")
         offset = int(rows[0][1][1:])
-        grid = [[int(v) if v != "" else None for v in row[1:]] for row in rows[1:]]
-        return offset, grid
+        out = []
+        for row in rows[1:]:
+            vals = tuple(int(v) for v in row[1:] if v != "")
+            out.append((offset + len(row) - 1 - len(vals), vals))
+        return out
 
-    occ_offset, occ = read_grid(path)
-    car_offset, car = read_grid(carrier_path)
+    occ = read_grid(path)
+    car = read_grid(carrier_path)
     with open(currents_path, newline="") as fh:
         rows = list(csv.reader(fh))
     currents = tuple(int(r[1]) if r[1] != "" else None for r in rows[1:])
     if not (len(occ) == len(car) == len(currents)):
         raise InvalidParams("block files disagree on the number of time rows")
 
-    if all(c is not None for c in currents):
-        boundary = IidInvariant(tuple(int(c) for c in currents))
+    if all(c is None for c in currents):
+        boundary = Detect()
+    elif None in currents:
+        raise InvalidParams(f"{currents_path}: blank and numeric currents mixed")
     else:
-        boundary = SeededCarrier(0)
-    out = []
-    for t in range(len(occ)):
-        cells = tuple(int(v) for v in occ[t])
-        cfg = Config(occ_offset, cells, J, boundary)
-        vals = tuple(int(v) for v in car[t] if v is not None)
-        skip = sum(1 for v in car[t] if v is None)
-        wp = CarrierPath(car_offset + skip, vals, currents[t])
-        out.append((cfg, wp))
-    return SpaceTimeBlock(J, K, tuple(out), currents)
+        boundary = IidInvariant(currents)
+    out = tuple(
+        (Config(o, cells, J, boundary), CarrierPath(co, vals, cur))
+        for (o, cells), (co, vals), cur in zip(occ, car, currents))
+    return SpaceTimeBlock(J, K, out, currents)

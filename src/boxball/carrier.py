@@ -1,17 +1,18 @@
 """Carrier construction for a configuration window in every capacity regime.
 
-The carrier load after each site satisfies W_n = F2(eta_n, W_{n-1}).  Three
-routes are provided: the direct left-to-right sweep (the defining recursion),
-seed detection (finding a window position where the load is forced), and the
-reflected-path transform for J < K, which doubles as a vectorised kernel for
-large windows.
+The carrier load after each site satisfies W_n = F2(eta_n, W_{n-1}), and in
+every regime one site's update is a clamp map of the entering load.  One
+kernel, ``sweep_row``, composes these maps by a prefix scan; every carrier
+of the package comes from it.  Seed detection finds a window position where
+the load is forced, and the reflected-path transform for J < K is kept as
+the paper's view of the same carrier.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from .lattice import (
     path_encode,
 )
 from .local_rules import local_map
+
+# share of a J < K = inf Detect window discarded as running-maximum burn-in
+_BURN_IN_FRAC = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +94,7 @@ def verify_carrier(J: Capacity, K: Capacity, c: Config, w: CarrierPath) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# direct sweep
+# the carrier kernel
 # ---------------------------------------------------------------------------
 
 
@@ -105,24 +109,69 @@ def sweep(J: Capacity, K: Capacity, c: Config, seed: int,
     """
     if not (0 <= seed <= K):
         raise InvalidCell(f"seed {seed} outside [0, {K}]")
-    w = seed
-    loads: List[int] = []
-    out: List[int] = []
-    for v in c.cells:
-        v2, w = local_map(J, K, (v, w))
-        out.append(v2)
-        loads.append(w)
-    if drain:
-        while w > 0:
-            v2, w = local_map(J, K, (0, w))
-            out.append(v2)
-            loads.append(w)
-    cfg = Config(c.offset, tuple(out), c.J, c.boundary)
-    return CarrierPath(c.offset, tuple(loads), seed), cfg
+    w, teta = sweep_row(J, K, c.array(), seed)
+    left = int(w[-1])
+    if drain and left > 0:
+        # each empty cell takes min(W, J) balls off the carrier
+        extra = 1 if J == INF else -(-left // J)
+        w2, teta2 = sweep_row(J, K, np.zeros(extra, dtype=np.int64), left)
+        w, teta = np.concatenate([w, w2]), np.concatenate([teta, teta2])
+    cfg = Config(c.offset, tuple(teta.tolist()), c.J, c.boundary)
+    return CarrierPath(c.offset, tuple(w.tolist()), seed), cfg
+
+
+def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
+              seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorised sweep of one row: returns (W, T eta) as int64 arrays.
+
+    Box a turns the entering load into W' = clip(s*W + u_a, lo_a, hi_a):
+    for J <= K, s = +1, u_a = 2a - J, lo_a = a, hi_a = K - J + a; for
+    J > K, s = -1, u_a = K, lo_a = K - J + a, hi_a = a.  For J > K the
+    alternating signs V_n = (-1)^(n+1) W_n make every map increasing.
+    Increasing clamp maps are closed under composition, so every prefix map
+    comes from one doubling scan, stopped once every composed window map is
+    constant.  An infinite J is replaced by a finite one that no load of the
+    row reaches; for K = inf the prefix maps reduce to a cumulative sum and
+    a running maximum.
+    """
+    eta = np.asarray(eta, dtype=np.int64)
+    n = len(eta)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if J == INF:
+        # a + W never exceeds the balls entering or inside the row
+        J = max(seed + int(eta.sum()), K if K != INF else 0) + 1
+    sign = 1
+    if K == INF:
+        # W' = max(W + u_a, a): W_n = U_n + max(seed, max_{k<=n} (a_k - U_k))
+        u = np.cumsum(2 * eta - J)
+        v = u + np.maximum.accumulate(np.maximum(eta - u, seed))
+    else:
+        if J <= K:
+            u, lo = 2 * eta - J, eta.copy()
+        else:
+            sign = np.resize(np.array([-1, 1], dtype=np.int64), n)
+            u = sign * K
+            lo = np.where(sign > 0, eta + (K - J), -eta)
+        hi = lo + abs(K - J)
+        d = 1
+        # before the pass with shift d, entry i holds the composed map of
+        # boxes max(0, i-d+1)..i, a full prefix for i < d; once every window
+        # (i >= d) is constant, so is every prefix
+        while d < n and (lo[d:] != hi[d:]).any():
+            u_o, lo_o, hi_o = u[d:], lo[d:], hi[d:]
+            lo[d:], hi[d:] = (np.clip(lo[:-d] + u_o, lo_o, hi_o),
+                              np.clip(hi[:-d] + u_o, lo_o, hi_o))
+            u[d:] = u[:-d] + u_o
+            d *= 2
+        v = np.clip(seed + u, lo, hi)
+    w = sign * v
+    w_prev = np.concatenate([[seed], w[:-1]])
+    return w, eta + w_prev - w
 
 
 # ---------------------------------------------------------------------------
-# reflected-path transform for J < K
+# reflected-path transform for J < K: the paper's view, used by the tests
 # ---------------------------------------------------------------------------
 
 
@@ -161,76 +210,6 @@ def carrier_from_path(p: PathEncoding, m2, J: Capacity) -> Tuple[int, ...]:
             raise ParityViolation("negative load extracted; left_init below the window")
         out.append(num // 2)
     return tuple(out)
-
-
-def _clamp_scan(v_init: int, u: np.ndarray, c: int) -> np.ndarray:
-    """All prefixes of v -> clip(v + u_n, 0, c) via map-composition doubling.
-
-    Clamp-with-shift maps compose into clamp-with-shift maps, so the scan
-    needs only O(log n) vectorised passes.
-    """
-    n = len(u)
-    t = u.astype(np.int64, copy=True)
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.full(n, c, dtype=np.int64)
-    s = 1
-    while s < n:
-        t_o, lo_o, hi_o = t[s:], lo[s:], hi[s:]
-        nt = t[:-s] + t_o
-        nlo = np.clip(lo[:-s] + t_o, lo_o, hi_o)
-        nhi = np.clip(hi[:-s] + t_o, lo_o, hi_o)
-        t = np.concatenate([t[:s], nt])
-        lo = np.concatenate([lo[:s], nlo])
-        hi = np.concatenate([hi[:s], nhi])
-        s *= 2
-    return np.clip(v_init + t, lo, hi)
-
-
-def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
-              seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised sweep of one row: returns (W, T eta) as int64 arrays.
-
-    J < K goes through the reflected-path form, J = K is a shift; J > K
-    falls back to the scalar recursion (only used at desk scale).
-    """
-    eta = np.asarray(eta, dtype=np.int64)
-    n = len(eta)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if J == K:
-        w = eta.copy()
-        teta = np.concatenate([[seed], eta[:-1]])
-        return w, teta
-    if J < K:
-        d = np.cumsum(2 * J - 4 * eta)
-        dtil = d - (J - 2 * eta)          # (D_{n-1} + D_n) / 2
-        m_init = 2 * seed - J
-        if K == INF:
-            m2 = np.maximum.accumulate(np.maximum(dtil, m_init))
-        else:
-            gap2 = 2 * (K - J)
-            v1 = min(max(m_init - dtil[0], 0), gap2)
-            u = np.concatenate([[0], dtil[:-1] - dtil[1:]])
-            m2 = _clamp_scan(v1, u, gap2) + dtil
-            m2[0] = v1 + dtil[0]
-        num = m2 - d + J
-        if (num & 1).any():
-            raise ParityViolation("carrier extraction non-integral")
-        w = num >> 1
-        w_prev = np.concatenate([[seed], w[:-1]])
-        return w, eta + w_prev - w
-    # J > K: scalar recursion with a lookup table when J is finite
-    w = np.empty(n, dtype=np.int64)
-    teta = np.empty(n, dtype=np.int64)
-    b = seed
-    for i in range(n):
-        a = int(eta[i])
-        dep = min(b, J - a)
-        pick = a if a < K - b else K - b
-        teta[i] = a + dep - pick
-        b = b - dep + pick
-        w[i] = b
-    return w, teta
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +262,12 @@ def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(c: Config, t: int = 0) -> Optional[int]:
-    """Entering load implied by the boundary mode at time step t, or None."""
+def _resolve_seed(c: Config, t: int = 0,
+                  supply: Optional[Sequence[int]] = None) -> Optional[int]:
+    """Entering load at time step t: ``supply[t]`` when a per-step supply is
+    given, else the load implied by the boundary mode; None under Detect."""
+    if supply is not None:
+        return int(supply[t])
     b = c.boundary
     if isinstance(b, ZeroPad):
         return 0
@@ -297,8 +280,7 @@ def _resolve_seed(c: Config, t: int = 0) -> Optional[int]:
     return None
 
 
-def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0,
-                      burn_in_frac: float = 0.25) -> CarrierPath:
+def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> CarrierPath:
     """Window restriction of the canonical carrier under the window's
     boundary mode.
 
@@ -307,8 +289,8 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0,
     value left of it is reported unknown); if no position is forced the
     window is consistent with an alternating/degenerate tail and
     ``Undetermined`` is raised.  For J < K = inf under Detect, the running
-    maximum is started after a burn-in prefix and the result is flagged
-    approximate.
+    maximum is started at the window start, the first quarter of the window
+    is discarded as burn-in and the result is flagged approximate.
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
@@ -322,26 +304,20 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0,
     mode = c.boundary
     assert isinstance(mode, Detect)
     if J < K == INF:
-        # canonical M is the all-time running maximum, not windowreadable:
-        # run it from the window start and discard a burn-in prefix.
-        p = path_encode(c)
-        dtil = p.dtilde()
-        burn = min(len(c) - 1, int(len(c) * burn_in_frac))
-        m2 = np.maximum.accumulate(np.asarray(dtil, dtype=np.int64))
-        loads = carrier_from_path(p, m2.tolist(), J)
-        return CarrierPath(c.offset + burn, loads[burn:], None, approximate=True)
+        # the canonical load is the all-time running maximum, not readable
+        # from the window; an empty entering load starts it at the window
+        burn = min(len(c) - 1, int(len(c) * _BURN_IN_FRAC))
+        w, _ = sweep_row(J, K, c.array(), 0)
+        return CarrierPath(c.offset + burn, tuple(w[burn:].tolist()), None,
+                           approximate=True)
     report = detect_seed(J, K, c, mode.floor)
     if report is None:
         raise Undetermined(
             "no forced carrier value in window: consistent with an "
             "alternating/degenerate tail")
     i = report.position - c.offset
-    w = report.forced_value
-    loads = [w]
-    for v in c.cells[i + 1:]:
-        w = local_map(J, K, (v, w))[1]
-        loads.append(w)
-    return CarrierPath(report.position, tuple(loads), None)
+    w, _ = sweep_row(J, K, c.array()[i + 1:], report.forced_value)
+    return CarrierPath(report.position, (report.forced_value,) + tuple(w.tolist()), None)
 
 
 def essential_boundary(J: Capacity, K: Capacity, c: Config,

@@ -61,6 +61,9 @@ def cmd_evolve(args) -> int:
                             f"min(J, K) = {min(J, K)}")
     cfg = config_from_text(args.config, J, boundary)
     block = evolve_block(J, K, cfg, args.steps)
+    if any(w.approximate for _, w in block.rows):
+        print("warning: carrier rows are approximate (J < K = inf under detect "
+              "starts a running maximum after a burn-in)", file=sys.stderr)
     paths = write_block_csv(block, args.out)
     print(f"wrote {paths[0]} {paths[1]} {paths[2]} "
           f"(J={capacity_str(J)} K={capacity_str(K)} steps={args.steps})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .capacities import Capacity
-from .carrier import CarrierPath, canonical_carrier, sweep
+from .carrier import CarrierPath, _resolve_seed, canonical_carrier, sweep
 from .errors import (
     BoundaryNotReversible,
     OutOfWindow,
@@ -25,8 +25,6 @@ from .lattice import (
     BallLabels,
     Config,
     Detect,
-    IidInvariant,
-    SeededCarrier,
     ZeroPad,
     label_balls,
     reverse,
@@ -34,23 +32,25 @@ from .lattice import (
 from .local_rules import local_map
 
 
-def _seed_at(c: Config, t: int, supply: Optional[Sequence[int]]) -> Optional[int]:
-    """Entering load for time step t, or None in Detect mode."""
-    if supply is not None:
-        return int(supply[t])
-    b = c.boundary
-    if isinstance(b, ZeroPad):
-        return 0
-    if isinstance(b, SeededCarrier):
-        return b.per_step[t] if b.per_step is not None else b.seed
-    if isinstance(b, IidInvariant):
-        return b.currents[t]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # single steps
 # ---------------------------------------------------------------------------
+
+
+def _advance(J: Capacity, K: Capacity, c: Config,
+             seed: Optional[int]) -> Tuple[CarrierPath, Optional[Config]]:
+    """The carrier of row c and the next row.  Seeded rows are swept from
+    ``seed`` (zero-padded ones drained); Detect rows (seed None) keep only
+    the cells right of the forced position, and the next row is None when
+    none remain."""
+    if seed is not None:
+        return sweep(J, K, c, seed, drain=isinstance(c.boundary, ZeroPad))
+    w = canonical_carrier(J, K, c)
+    eta = c.cells[w.offset - c.offset + 1:]
+    # each box keeps a + W_{n-1} - W_n balls (the local map conserves a + b)
+    cells = tuple(a + w_in - w_out
+                  for a, w_in, w_out in zip(eta, w.values, w.values[1:]))
+    return w, Config(w.offset + 1, cells, c.J, c.boundary) if cells else None
 
 
 def step(J: Capacity, K: Capacity, c: Config, t: int = 0,
@@ -63,18 +63,10 @@ def step(J: Capacity, K: Capacity, c: Config, t: int = 0,
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
-    seed = _seed_at(c, t, current_supply)
-    if seed is not None:
-        drain = isinstance(c.boundary, ZeroPad)
-        return sweep(J, K, c, seed, drain=drain)[1]
-    w = canonical_carrier(J, K, c)
-    cells = tuple(
-        local_map(J, K, (c.at(n), w.at(n - 1)))[0]
-        for n in range(w.offset + 1, c.end + 1)
-    )
-    if not cells:
+    nxt = _advance(J, K, c, _resolve_seed(c, t, current_supply))[1]
+    if nxt is None:
         raise Undetermined("window exhausted: no cell right of the forced position")
-    return Config(w.offset + 1, cells, c.J, c.boundary)
+    return nxt
 
 
 def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
@@ -124,25 +116,14 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int,
     currents: List[Optional[int]] = []
     cur = c
     for t in range(t_max + 1):
-        seed = _seed_at(cur, t, current_supply)
+        seed = _resolve_seed(cur, t, current_supply)
         currents.append(seed)
-        if seed is not None:
-            drain = isinstance(cur.boundary, ZeroPad)
-            w, nxt = sweep(J, K, cur, seed, drain=drain)
-            if drain and len(nxt) > len(cur):
-                cur = cur.with_cells(
-                    cur.offset, cur.cells + (0,) * (len(nxt) - len(cur)))
-            rows.append((cur, w))
-        else:
-            w = canonical_carrier(J, K, cur)
-            rows.append((cur, w))
-            cells = tuple(
-                local_map(J, K, (cur.at(n), w.at(n - 1)))[0]
-                for n in range(w.offset + 1, cur.end + 1)
-            )
-            if not cells and t < t_max:
-                raise Undetermined("window exhausted during block evolution")
-            nxt = Config(w.offset + 1, cells, cur.J, cur.boundary) if cells else cur
+        w, nxt = _advance(J, K, cur, seed)
+        if len(w) > len(cur):  # drained past the window end
+            cur = cur.with_cells(cur.offset, cur.cells + (0,) * (len(w) - len(cur)))
+        rows.append((cur, w))
+        if nxt is None and t < t_max:
+            raise Undetermined("window exhausted during block evolution")
         cur = nxt
 
     if isinstance(c.boundary, ZeroPad):
@@ -266,12 +247,11 @@ def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
     trajectory = [locate(tracked)]
 
     for t in range(t_max):
-        seed = _seed_at(cfg, t, current_supply)
+        seed = _resolve_seed(cfg, t, current_supply)
         if seed is None:
             raise BoundaryNotReversible("tagged dynamics need a seeded boundary mode")
-        drain = isinstance(cfg.boundary, ZeroPad)
-        w_path, nxt = sweep(J, K, cfg, seed, drain=drain)
-        if drain and len(nxt) > len(cfg):
+        w_path, nxt = _advance(J, K, cfg, seed)
+        if len(nxt) > len(cfg):
             sites.extend([] for _ in range(len(nxt) - len(cfg)))
             cfg = cfg.with_cells(cfg.offset, cfg.cells + (0,) * (len(nxt) - len(cfg)))
         # fresh identities for injected balls, ordered within the batch

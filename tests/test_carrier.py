@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from boxball import (
     Config,
@@ -126,19 +126,50 @@ def test_sweep_pitman_agreement():
             assert a == b
 
 
+CAPS = (1, 2, 3, 5, INF)
+
+
+def local_map_fold(J, K, cells, seed):
+    """The defining recursion, one local map per cell: (loads, T eta)."""
+    w, loads, out = seed, [], []
+    for v in cells:
+        v2, w = local_map(J, K, (v, w))
+        out.append(v2)
+        loads.append(w)
+    return tuple(loads), tuple(out)
+
+
+def flat_window(J, K, n):
+    """A window whose composed carrier maps never become constant: half
+    filled boxes for finite J, boxes holding K balls for J = inf."""
+    if J == INF:
+        return (K,) * n
+    return ((J // 2, (J + 1) // 2) * n)[:n]
+
+
+def assert_kernel_matches_fold(J, K, cells, seed):
+    want = local_map_fold(J, K, cells, seed)
+    wf, tf = sweep_row(J, K, np.array(cells), seed)
+    assert (tuple(wf.tolist()), tuple(tf.tolist())) == want
+    w, out = sweep(J, K, cfg(0, cells, J), seed)
+    assert (w.values, out.cells) == want
+
+
 def test_sweep_row_matches_sweep_all_regimes():
     rng = np.random.default_rng(13)
-    for J, K in [(1, 2), (3, 5), (2, 2), (1, INF), (4, 2), (5, 3), (INF, 3)]:
-        jmax = 6 if J == INF else J
-        for _ in range(40):
-            n = int(rng.integers(1, 30))
-            cells = tuple(int(v) for v in rng.integers(0, jmax + 1, n))
-            seed = int(rng.integers(0, (3 if K == INF else K) + 1))
-            c = cfg(0, cells, J)
-            w, out = sweep(J, K, c, seed)
-            wf, tf = sweep_row(J, K, np.array(cells), seed)
-            assert tuple(wf.tolist()) == w.values
-            assert tuple(tf.tolist()) == out.cells
+    for J in CAPS:
+        for K in CAPS:
+            if J == K == INF:
+                continue
+            jmax = 6 if J == INF else J
+            for i in range(20):
+                n = int(2 ** rng.uniform(0, 8.2))  # 1 to ~300 sites, log-uniform
+                if i < 2:
+                    cells = flat_window(J, K, n)
+                else:
+                    cells = tuple(int(v) for v in rng.integers(0, jmax + 1, n))
+                seed = int(rng.integers(0, (6 if K == INF else K) + 1))
+                assert_kernel_matches_fold(J, K, cells, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +295,11 @@ def test_essential_boundary():
     assert essential_boundary(2, 4, c, w) == c.end
 
 
-@settings(max_examples=60)
-@given(st.integers(1, 4), st.integers(1, 4),
-       st.lists(st.integers(0, 4), min_size=1, max_size=10),
-       st.integers(0, 4))
-def test_sweep_row_agreement_property(J, K, cells, seed):
-    cells = tuple(min(v, J) for v in cells)
-    seed = min(seed, K)
-    c = cfg(0, cells, J)
-    w, out = sweep(J, K, c, seed)
-    wf, tf = sweep_row(J, K, np.array(cells), seed)
-    assert tuple(wf.tolist()) == w.values
-    assert tuple(tf.tolist()) == out.cells
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CAPS), st.sampled_from(CAPS),
+       st.lists(st.integers(0, 6), min_size=1, max_size=300),
+       st.integers(0, 6), st.booleans())
+def test_sweep_row_agreement_property(J, K, cells, seed, flat):
+    assume(not J == K == INF)
+    cells = flat_window(J, K, len(cells)) if flat else tuple(min(v, J) for v in cells)
+    assert_kernel_matches_fold(J, K, cells, min(seed, K))

@@ -7,7 +7,7 @@ import pytest
 from boxball.blockio import read_block_csv, write_block_csv
 from boxball.cli import main
 from boxball.evolution import duality_verify, evolve_block
-from boxball.lattice import Config
+from boxball.lattice import Config, Detect
 
 
 def run(argv):
@@ -53,6 +53,15 @@ def test_evolve_undetermined_detect_is_domain_error(tmp_path):
     assert code == 3
 
 
+def test_evolve_warns_on_approximate_rows(tmp_path, capsys):
+    argv = ["evolve", "--J", "1", "--K", "inf", "--config", "0:1,0,1,0,1,0,0,1",
+            "--steps", "1", "--out", str(tmp_path / "x.csv")]
+    assert run(argv + ["--boundary", "detect"]) == 0
+    assert "approximate" in capsys.readouterr().err
+    assert run(argv + ["--boundary", "zero"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_dual_round_trip_via_csv(tmp_path, capsys):
     out = tmp_path / "block.csv"
     assert run(["evolve", "--J", "1", "--K", "inf", "--config", "0:1,1,0,1,0",
@@ -77,15 +86,23 @@ def test_dual_detects_corrupted_file(tmp_path, capsys):
 
 
 def test_block_csv_round_trip_object_level(tmp_path):
-    c = Config(0, (1, 0, 1, 1, 0), 1)
-    block = evolve_block(1, 2, c, 4)
     path = tmp_path / "b.csv"
-    write_block_csv(block, str(path))
-    back = read_block_csv(str(path), 1, 2)
-    assert duality_verify(back).violations == 0
-    for t in range(5):
-        assert back.config(t).cells == block.config(t).cells
-        assert back.carrier(t).values == block.carrier(t).values
+    cases = [(1, 2, Config(0, (1, 0, 1, 1, 0), 1), 4),
+             # Detect rows shrink from the left; their currents are blank
+             (3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3),
+             (4, 2, Config(1, (2, 2, 2, 2, 3, 0, 4, 4, 3, 1), 4, Detect()), 3)]
+    for J, K, c, steps in cases:
+        block = evolve_block(J, K, c, steps)
+        write_block_csv(block, str(path))
+        back = read_block_csv(str(path), J, K)
+        assert duality_verify(back).violations == 0
+        for t in range(steps + 1):
+            assert back.config(t).offset == block.config(t).offset
+            assert back.config(t).cells == block.config(t).cells
+            assert back.carrier(t) == block.carrier(t)
+        if isinstance(c.boundary, Detect):
+            assert block.config(steps).offset > c.offset
+            assert back == block
 
 
 def test_measure_classify_output(capsys):
