@@ -5,15 +5,16 @@ rectangle (one row per time step, header ``t,n<site>,...``) and the left
 boundary currents.  All values are decimal integers; a blank entry is a site
 left of the row's window or an undetermined current.  The floor of a Detect
 boundary is not stored, so a block whose currents are all blank reads back
-with ``Detect()`` (floor 0).
+with ``Detect()`` (floor 0); for J < K = inf its carriers read back flagged
+approximate, as ``canonical_carrier`` flags every such carrier.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from .capacities import Capacity
+from .capacities import INF, Capacity
 from .carrier import CarrierPath
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock
@@ -26,14 +27,17 @@ def _sibling(path: str, tag: str) -> str:
     return path + f".{tag}.csv"
 
 
-def _write_grid(path: str, rows: Sequence[Union[Config, CarrierPath]]) -> None:
-    """One line per row over the sites of row 0, blank outside the row."""
-    sites = range(rows[0].offset, rows[0].end + 1)
+def _write_grid(path: str, rows: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
+    """One line per (offset, values) row over row 0's sites, blank outside."""
+    s0, e0 = rows[0][0], rows[0][0] + len(rows[0][1]) - 1
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t"] + [f"n{n}" for n in sites])
-        for t, r in enumerate(rows):
-            w.writerow([t] + [r.at(n) if r.offset <= n <= r.end else "" for n in sites])
+        w.writerow(["t"] + [f"n{n}" for n in range(s0, e0 + 1)])
+        for t, (off, vals) in enumerate(rows):
+            lo = min(max(off, s0), e0 + 1)      # covered sites lo..hi
+            hi = max(min(off + len(vals) - 1, e0), lo - 1)
+            w.writerow([t] + [""] * (lo - s0) + list(vals[lo - off:hi + 1 - off])
+                       + [""] * (e0 - hi))
 
 
 def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
@@ -41,8 +45,8 @@ def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
     it; returns the three paths."""
     carrier_path = _sibling(path, "carrier")
     currents_path = _sibling(path, "currents")
-    _write_grid(path, [cfg for cfg, _ in block.rows])
-    _write_grid(carrier_path, [w for _, w in block.rows])
+    _write_grid(path, [(cfg.offset, cfg.cells) for cfg, _ in block.rows])
+    _write_grid(carrier_path, [(w.offset, w.values) for _, w in block.rows])
     with open(currents_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "current"])
@@ -65,7 +69,7 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         offset = int(rows[0][1][1:])
         out = []
         for row in rows[1:]:
-            vals = tuple(int(v) for v in row[1:] if v != "")
+            vals = tuple(map(int, filter(None, row[1:])))
             out.append((offset + len(row) - 1 - len(vals), vals))
         return out
 
@@ -83,7 +87,9 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         raise InvalidParams(f"{currents_path}: blank and numeric currents mixed")
     else:
         boundary = IidInvariant(currents)
+    # canonical_carrier flags exactly these carriers as burn-in estimates
+    approx = isinstance(boundary, Detect) and J < K == INF
     out = tuple(
-        (Config(o, cells, J, boundary), CarrierPath(co, vals, cur))
+        (Config(o, cells, J, boundary), CarrierPath(co, vals, cur, approx))
         for (o, cells), (co, vals), cur in zip(occ, car, currents))
     return SpaceTimeBlock(J, K, out, currents)

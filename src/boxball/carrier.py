@@ -188,14 +188,9 @@ def pitman_M(p: PathEncoding, gap: Capacity, left_init: int) -> Tuple[int, ...]:
     dtil = p.dtilde()
     m = left_init
     out = []
-    if gap == INF:
-        for s in dtil:
-            m = m if m > s else s
-            out.append(m)
-    else:
-        for s in dtil:
-            m = min(max(m, s), s + gap)
-            out.append(m)
+    for s in dtil:
+        m = min(max(m, s), s + gap)     # s + INF never binds
+        out.append(m)
     return tuple(out)
 
 

@@ -15,7 +15,7 @@ from typing import List, Optional
 
 from .blockio import read_block_csv, write_block_csv
 from .capacities import capacity_str, parse_capacity
-from .errors import BoxBallError, FloorTooLarge, InvalidParams, NotInMrev
+from .errors import BoxBallError, FloorTooLarge, InvalidParams
 from .evolution import duality_verify, evolve_block
 from .experiments import speed_estimate, write_jsonl, write_report_csv
 from .lattice import Detect, IidInvariant, SeededCarrier, ZeroPad, config_from_text
@@ -53,8 +53,7 @@ def _boundary_from_args(args) -> object:
 
 
 def cmd_evolve(args) -> int:
-    J = parse_capacity(args.J, "J")
-    K = parse_capacity(args.K, "K")
+    J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     boundary = _boundary_from_args(args)
     if isinstance(boundary, Detect) and min(J, K) <= 2 * boundary.floor:
         raise FloorTooLarge(f"floor {boundary.floor} too large for "
@@ -71,8 +70,7 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    J = parse_capacity(args.J, "J")
-    K = parse_capacity(args.K, "K")
+    J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     if args.infile:
         block = read_block_csv(args.infile, J, K)
     else:
@@ -101,8 +99,7 @@ def _family_str(result) -> str:
 
 
 def cmd_measure(args) -> int:
-    J = parse_capacity(args.J, "J")
-    K = parse_capacity(args.K, "K")
+    J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     mu = pmf_from_text(args.mu)
     if args.action == "classify":
         result = classify_invariant(J, K, mu, tol=args.tol)
@@ -135,8 +132,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_speed(args) -> int:
-    J = parse_capacity(args.J, "J")
-    K = parse_capacity(args.K, "K")
+    J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     mu = pmf_from_text(args.mu)
     seed = args.seed if args.seed is not None else secrets.randbits(48)
     est = speed_estimate(J, K, mu, args.t_max, args.replicas, seed)
@@ -189,15 +185,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--J", required=True, help="box capacity (int or inf)")
         p.add_argument("--K", required=True, help="carrier capacity (int or inf)")
 
+    def add_boundary(p):
+        p.add_argument("--boundary", default="zero",
+                       choices=["zero", "detect", "seeded", "iid"])
+        p.add_argument("--floor", type=int, default=0)
+        p.add_argument("--carrier-seed", type=int, default=0)
+        p.add_argument("--currents", default="")
+
     p = sub.add_parser("evolve", help="evolve a window and write CSVs")
     add_caps(p)
     p.add_argument("--config", required=True, help="window as offset:v0,v1,...")
     p.add_argument("--steps", type=int, default=1)
-    p.add_argument("--boundary", default="zero",
-                   choices=["zero", "detect", "seeded", "iid"])
-    p.add_argument("--floor", type=int, default=0)
-    p.add_argument("--carrier-seed", type=int, default=0)
-    p.add_argument("--currents", default="")
+    add_boundary(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 
@@ -205,11 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_caps(p)
     p.add_argument("--config", default="")
     p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--boundary", default="zero",
-                   choices=["zero", "detect", "seeded", "iid"])
-    p.add_argument("--floor", type=int, default=0)
-    p.add_argument("--carrier-seed", type=int, default=0)
-    p.add_argument("--currents", default="")
+    add_boundary(p)
     p.add_argument("--in", dest="infile", default="",
                    help="read a previously written block CSV")
     p.set_defaults(func=cmd_dual)
@@ -253,9 +248,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (InvalidParams, FloorTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except NotInMrev as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DOMAIN_EXIT
     except BoxBallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

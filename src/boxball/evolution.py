@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .capacities import Capacity
 from .carrier import CarrierPath, _resolve_seed, canonical_carrier, sweep
 from .errors import (
@@ -29,7 +31,7 @@ from .lattice import (
     label_balls,
     reverse,
 )
-from .local_rules import local_map
+from .local_rules import check_cell, local_map_array
 
 
 # ---------------------------------------------------------------------------
@@ -164,23 +166,34 @@ class DualityReport:
 def duality_verify(b: SpaceTimeBlock) -> DualityReport:
     """Check that each occupancy column is a BBS(K, J) carrier for the
     current column one site to its left: F2_{K,J}(W^t_n, eta^t_{n+1})
-    must equal eta^{t+1}_{n+1} at every interior cell."""
+    must equal eta^{t+1}_{n+1} at every interior cell.  One array local
+    map checks a whole row; loads are validated as ``local_map`` does."""
     J, K = b.J, b.K
-    bad = 0
-    checked = 0
+    occ = [cfg.array() for cfg, _ in b.rows]
+    bad = checked = 0
     first = None
     for t in range(b.t_max):
         cfg0, w0 = b.rows[t]
         cfg1 = b.rows[t + 1][0]
         lo = max(w0.offset, cfg0.offset - 1, cfg1.offset - 1)
         hi = min(w0.end, cfg0.end - 1, cfg1.end - 1)
-        for n in range(lo, hi + 1):
-            got = local_map(K, J, (w0.at(n), cfg0.at(n + 1)))[1]
-            checked += 1
-            if got != cfg1.at(n + 1):
-                bad += 1
-                if first is None:
-                    first = (n, t)
+        if hi < lo:
+            continue
+        loads = w0.values[lo - w0.offset:hi + 1 - w0.offset]
+        i0, i1, m = lo + 1 - cfg0.offset, lo + 1 - cfg1.offset, hi + 1 - lo
+        eta0 = occ[t][i0:i0 + m]
+        # validate as local_map: the first pair (capacities too), the rest in bulk
+        check_cell(K, J, (loads[0], cfg0.cells[i0]))
+        w = np.array(loads, dtype=np.int64) if set(map(type, loads)) == {int} else None
+        if w is None or w.min() < 0 or w.max() > K or eta0.max() > J:
+            for pair in zip(loads, cfg0.cells[i0:]):
+                check_cell(K, J, pair)
+            w = np.array(loads, dtype=np.int64)
+        miss = np.flatnonzero(local_map_array(K, J, w, eta0)[1] != occ[t + 1][i1:i1 + m])
+        checked += m
+        bad += len(miss)
+        if first is None and len(miss):
+            first = (lo + int(miss[0]), t)
     return DualityReport(bad, checked, first)
 
 

@@ -17,11 +17,12 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy import stats
 
-from .capacities import INF, Capacity
+from .capacities import Capacity
 from .carrier import CarrierPath, sweep_row
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock, current_column
 from .lattice import Config, IidInvariant
+from .local_rules import local_map_array
 from .measures import (
     Pmf,
     classify_invariant,
@@ -57,17 +58,6 @@ def _as_master_seed(rng: Union[int, RngSpec]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _evolve_rows(J: Capacity, K: Capacity, eta: np.ndarray,
-                 seeds: Sequence[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Rows (eta_t, W_t) for each seed; eta advances by one sweep per seed."""
-    rows = []
-    for s in seeds:
-        w, teta = sweep_row(J, K, eta, int(s))
-        rows.append((eta, w))
-        eta = teta
-    return rows
-
-
 def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
                             T_max: int, rng: Union[int, RngSpec],
                             offset: int = 1,
@@ -85,16 +75,16 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
         nu = dual_measure(J, K, mu)
         meta["warning"] = ("measure is not invariant: the block law is not "
                            "the stationary restriction")
-    eta0 = sample_pmf(mu, spec.stream("window"), L)
-    currents = tuple(int(c) for c in
-                     sample_pmf(nu, spec.stream("currents"), T_max + 1))
-    raw = _evolve_rows(J, K, eta0, currents)
+    eta = sample_pmf(mu, spec.stream("window"), L)
+    currents = tuple(sample_pmf(nu, spec.stream("currents"), T_max + 1).tolist())
     boundary = IidInvariant(currents)
-    rows = tuple(
-        (Config(offset, tuple(int(v) for v in eta), J, boundary),
-         CarrierPath(offset, tuple(int(v) for v in w), currents[t]))
-        for t, (eta, w) in enumerate(raw))
-    block = SpaceTimeBlock(J, K, rows, currents)
+    rows = []
+    for s in currents:      # eta advances by one sweep per current
+        w, teta = sweep_row(J, K, eta, s)
+        rows.append((Config(offset, tuple(eta.tolist()), J, boundary),
+                     CarrierPath(offset, tuple(w.tolist()), s)))
+        eta = teta
+    block = SpaceTimeBlock(J, K, tuple(rows), currents)
     meta["dual"] = nu
     return block, meta
 
@@ -248,15 +238,6 @@ class SpeedEstimate:
         return recs
 
 
-def _diagonal_map(J: Capacity, K: Capacity, a: np.ndarray,
-                  b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The local map on int64 arrays of occupancies a and loads b; an infinite
-    capacity is branched on, as it limits nothing and is not an integer."""
-    deposit = b if J == INF else np.minimum(b, J - a)
-    pickup = a if K == INF else np.minimum(a, K - b)
-    return a + deposit - pickup, b - deposit + pickup
-
-
 _DRAW_CHUNK = 256
 
 
@@ -282,7 +263,7 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
     while True:
         occ[0] = site0 = next(sites)
         m = min(d + 1, t_max)
-        a, b = _diagonal_map(J, K, occ[:m], load[:m])
+        a, b = local_map_array(J, K, occ[:m], load[:m])
         cells += m
         if row < 0 and site0 > 0:
             row, rank, x0 = 0, 1, d + 1

@@ -67,9 +67,13 @@ class Config:
 
     def __post_init__(self):
         validate_capacity(self.J, "J")
-        if not self.cells:
+        cells = self.cells
+        if not cells:
             raise InvalidParams("window must be non-empty")
-        for v in self.cells:
+        # fast path: exact ints within range; otherwise find the culprit
+        if set(map(type, cells)) == {int} and 0 <= min(cells) and max(cells) <= self.J:
+            return
+        for v in cells:
             if not isinstance(v, int) or v < 0 or v > self.J:
                 raise InvalidCell(f"cell value {v!r} outside [0, {self.J}]")
 
@@ -196,9 +200,6 @@ class PathEncoding:
     @property
     def end(self) -> int:
         return self.offset + len(self.D) - 1
-
-    def re_anchor(self, delta: int) -> "PathEncoding":
-        return PathEncoding(self.offset, tuple(d + delta for d in self.D), self.base + delta)
 
     def dtilde(self) -> Tuple[int, ...]:
         """Two-point average of D: D~_n = (D_{n-1} + D_n) / 2, always integral."""

@@ -13,7 +13,9 @@ from __future__ import annotations
 import enum
 from typing import Tuple
 
-from .capacities import Capacity, is_finite, validate_capacity
+import numpy as np
+
+from .capacities import INF, Capacity, is_finite, validate_capacity
 from .errors import EitherCapacityInfinite, InvalidCell, RangeViolation
 
 CellPair = Tuple[int, int]
@@ -52,6 +54,15 @@ def local_map(J: Capacity, K: Capacity, pair: CellPair) -> CellPair:
     a, b = check_cell(J, K, pair)
     deposit = min(b, J - a)
     pickup = min(a, K - b)
+    return a + deposit - pickup, b - deposit + pickup
+
+
+def local_map_array(J: Capacity, K: Capacity, a: np.ndarray,
+                    b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The unvalidated local map on int64 arrays of occupancies a and loads b;
+    an infinite capacity is branched on, as it limits nothing."""
+    deposit = b if J == INF else np.minimum(b, J - a)
+    pickup = a if K == INF else np.minimum(a, K - b)
     return a + deposit - pickup, b - deposit + pickup
 
 

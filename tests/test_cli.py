@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from boxball import INF, sample_stationary_block, uniform
 from boxball.blockio import read_block_csv, write_block_csv
+from boxball.carrier import CarrierPath
 from boxball.cli import main
-from boxball.evolution import duality_verify, evolve_block
+from boxball.evolution import SpaceTimeBlock, duality_verify, evolve_block
 from boxball.lattice import Config, Detect
 
 
@@ -90,7 +92,10 @@ def test_block_csv_round_trip_object_level(tmp_path):
     cases = [(1, 2, Config(0, (1, 0, 1, 1, 0), 1), 4),
              # Detect rows shrink from the left; their currents are blank
              (3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3),
-             (4, 2, Config(1, (2, 2, 2, 2, 3, 0, 4, 4, 3, 1), 4, Detect()), 3)]
+             (4, 2, Config(1, (2, 2, 2, 2, 3, 0, 4, 4, 3, 1), 4, Detect()), 3),
+             # J < K = inf under Detect: every carrier is flagged approximate
+             (1, INF, Config(1, (1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0), 1,
+                             Detect()), 3)]
     for J, K, c, steps in cases:
         block = evolve_block(J, K, c, steps)
         write_block_csv(block, str(path))
@@ -103,6 +108,42 @@ def test_block_csv_round_trip_object_level(tmp_path):
         if isinstance(c.boundary, Detect):
             assert block.config(steps).offset > c.offset
             assert back == block
+
+
+def reference_block_csv(block, path):
+    """The three block files written cell by cell: every site of row 0,
+    ``r.at(n)`` inside the row and blank outside it."""
+    paths = (path, path[:-4] + ".carrier.csv", path[:-4] + ".currents.csv")
+    for p, rows in zip(paths, ([cfg for cfg, _ in block.rows], [w for _, w in block.rows])):
+        sites = range(rows[0].offset, rows[0].end + 1)
+        with open(p, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t"] + [f"n{n}" for n in sites])
+            for t, r in enumerate(rows):
+                w.writerow([t] + [r.at(n) if r.offset <= n <= r.end else "" for n in sites])
+    with open(paths[2], "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "current"])
+        for t, c in enumerate(block.left_currents):
+            w.writerow([t, "" if c is None else c])
+    return paths
+
+
+def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
+    zero = evolve_block(3, 4, Config(1, (2, 1, 0, 3, 3), 3), 6)    # drains right
+    detect = evolve_block(3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3)
+    stationary = sample_stationary_block(2, 4, uniform(2), 200, 8, 5)[0]
+    # rows reaching left of, right of and wholly outside row 0's sites
+    ragged = SpaceTimeBlock(2, 3, tuple(
+        (Config(o, cells, 2), CarrierPath(o + 1, cells, None)) for o, cells in
+        [(3, (1, 2, 0)), (1, (0, 1, 2, 2, 1, 0, 1)), (4, (2, 2, 2, 2)), (9, (1,)), (0, (2,))]),
+        (None,) * 5)
+    assert len(zero.config(6)) > 5 and detect.config(3).offset > 1
+    for i, block in enumerate([zero, detect, stationary, ragged]):
+        got = write_block_csv(block, str(tmp_path / f"got{i}.csv"))
+        ref = reference_block_csv(block, str(tmp_path / f"ref{i}.csv"))
+        for g, r in zip(got, ref):
+            assert open(g, "rb").read() == open(r, "rb").read(), (i, g)
 
 
 def test_measure_classify_output(capsys):

@@ -2,28 +2,36 @@ import numpy as np
 import pytest
 
 from boxball import (
+    CarrierPath,
     Config,
+    Detect,
     IidInvariant,
     INF,
     SeededCarrier,
+    bernoulli,
     current_column,
     duality_verify,
     evolve_block,
     inverse_step,
     path_encode,
     pitman_M,
+    sample_stationary_block,
     step,
     tagged_evolve,
     tagged_state,
+    uniform,
 )
 from boxball.errors import (
     BoundaryNotReversible,
+    InvalidCell,
     OutOfWindow,
     TrackedBallAbsent,
+    Undetermined,
     WindowExceeded,
 )
-from boxball.evolution import SpaceTimeBlock
+from boxball.evolution import DualityReport, SpaceTimeBlock
 from boxball.lattice import same_occupancies, trim_zeros
+from boxball.local_rules import local_map
 
 
 def cfg(offset, cells, J, boundary=None):
@@ -172,6 +180,93 @@ def test_duality_verify_detects_corruption():
     rows = b.rows[:2] + (bad_row,) + b.rows[3:]
     bad = SpaceTimeBlock(b.J, b.K, rows, b.left_currents)
     assert duality_verify(bad).violations >= 1
+
+
+def reference_duality(b):
+    """The duality check by definition: fold the scalar BBS(K, J) local map
+    over every site n whose load and both occupancies at n + 1 are stored."""
+    bad = checked = 0
+    first = None
+    for t in range(b.t_max):
+        (cfg0, w0), cfg1 = b.rows[t], b.rows[t + 1][0]
+        for n in range(w0.offset, w0.end + 1):
+            if not (cfg0.offset <= n + 1 <= cfg0.end and cfg1.offset <= n + 1 <= cfg1.end):
+                continue
+            checked += 1
+            if local_map(b.K, b.J, (w0.at(n), cfg0.at(n + 1)))[1] != cfg1.at(n + 1):
+                bad += 1
+                if first is None:
+                    first = (n, t)
+    return DualityReport(bad, checked, first)
+
+
+def with_row(b, t, cells=None, loads=None):
+    cfg0, w0 = b.rows[t]
+    if cells is not None:
+        cfg0 = cfg0.with_cells(cfg0.offset, cells)
+    if loads is not None:
+        w0 = CarrierPath(w0.offset, tuple(loads), w0.left_seed, w0.approximate)
+    return SpaceTimeBlock(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:],
+                          b.left_currents)
+
+
+DUAL_CAPS = [1, 2, 3, 5, INF]
+
+
+def duality_blocks(rng):
+    """Stationary, zero-padded and Detect blocks over every capacity pair."""
+    for J, K, mu in [(3, 2, uniform(3)), (2, 2, uniform(2)), (2, 4, uniform(2)),
+                     (1, INF, bernoulli(0.25))]:
+        yield sample_stationary_block(J, K, mu, 80, 6, int(rng.integers(1000)))[0]
+    for J in DUAL_CAPS:
+        for K in DUAL_CAPS:
+            if J == K == INF:
+                continue
+            for _ in range(3):
+                c = random_zero_padded(rng, J, n_max=30)
+                yield evolve_block(J, K, c, 5)
+                try:
+                    yield evolve_block(J, K, cfg(1, c.cells + c.cells, J, Detect()), 3)
+                except Undetermined:
+                    pass
+
+
+def test_duality_verify_equals_reference_fold():
+    rng = np.random.default_rng(17)
+    shrinking = 0
+    for b in duality_blocks(rng):
+        shrinking += b.config(b.t_max).offset > b.config(0).offset
+        assert duality_verify(b) == reference_duality(b)
+        # corrupt one to three loads or occupancies of a row, within range
+        for _ in range(4):
+            t = int(rng.integers(b.t_max + 1))
+            cfg0, w0 = b.rows[t]
+            on_loads = rng.random() < 0.5
+            vals = list(w0.values if on_loads else cfg0.cells)
+            top = 5 if (b.K if on_loads else b.J) == INF else (b.K if on_loads else b.J)
+            for i in rng.integers(len(vals), size=int(rng.integers(1, 4))):
+                vals[i] = int(rng.integers(top + 1))
+            bad = with_row(b, t, loads=vals) if on_loads else with_row(b, t, cells=vals)
+            assert duality_verify(bad) == reference_duality(bad)
+    assert shrinking > 0
+
+
+def test_duality_verify_rejects_invalid_loads():
+    b = evolve_block(2, 3, cfg(0, (2, 1, 0, 2, 1), 2), 3)
+    w0 = b.carrier(1)
+    for v in (4, -1):
+        loads = list(w0.values)
+        loads[2] = v
+        with pytest.raises(InvalidCell, match=f"occupancy {v} outside"):
+            duality_verify(with_row(b, 1, loads=loads))
+    binf = evolve_block(1, INF, cfg(0, (1, 0, 1, 1), 1), 2)
+    loads = list(binf.carrier(0).values)
+    loads[1] = -1
+    with pytest.raises(InvalidCell):
+        duality_verify(with_row(binf, 0, loads=loads))
+    loads[1] = 1.0
+    with pytest.raises(InvalidCell, match="must be integers"):
+        duality_verify(with_row(binf, 0, loads=loads))
 
 
 def test_intertwining_column_shift():

@@ -23,7 +23,7 @@ from boxball import (
 )
 from boxball import experiments
 from boxball.errors import InvalidParams
-from boxball.local_rules import local_map
+from boxball.local_rules import local_map, local_map_array
 from boxball.measures import sample_pmf
 
 
@@ -213,7 +213,7 @@ _CAPS = st.sampled_from([1, 2, 3, 5, INF])
 def test_diagonal_map_equals_local_map(J, K, pairs):
     pairs = [(min(a, J), min(b, K)) for a, b in pairs]
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    a2, b2 = experiments._diagonal_map(J, K, a, b)
+    a2, b2 = local_map_array(J, K, a, b)
     assert a2.dtype == b2.dtype == np.int64
     assert list(zip(a2.tolist(), b2.tolist())) == [local_map(J, K, p) for p in pairs]
 

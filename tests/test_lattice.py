@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +29,25 @@ def test_construction_validates():
         cfg(0, (0,), 0)
     c = cfg(0, (3, 1, 4), INF)
     assert c.at(2) == 4 and c.at(99) == 0
+
+
+def test_construction_validation_edge_cases():
+    # bools are ints and pass; numpy scalars, floats and out-of-range values
+    # are rejected naming the first offending cell
+    for J in (1, 3, INF):
+        for cells in [(True,), (0, 1, True), (False, 0), (1, 0, 1)]:
+            assert cfg(0, cells, J).cells == cells
+        for cells, bad in [((np.int64(1),), "np.int64(1)"), ((0, np.int64(1)), "np.int64(1)"),
+                           ((-1,), "-1"), ((1, 1.0), "1.0"), ((0, "1"), "'1'"),
+                           ((1, None, -1), "None")]:
+            with pytest.raises(InvalidCell) as err:
+                cfg(0, cells, J)
+            assert str(err.value) == f"cell value {bad} outside [0, {J}]"
+    for J in (1, 3):
+        with pytest.raises(InvalidCell) as err:
+            cfg(0, (0, J, J + 1, -1), J)
+        assert str(err.value) == f"cell value {J + 1} outside [0, {J}]"
+    assert cfg(0, (10 ** 6, 0), INF).cells == (10 ** 6, 0)
 
 
 def test_text_round_trip():
