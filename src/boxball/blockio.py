@@ -6,7 +6,11 @@ boundary currents.  All values are decimal integers; a blank entry is a site
 left of the row's window or an undetermined current.  The floor of a Detect
 boundary is not stored, so a block whose currents are all blank reads back
 with ``Detect()`` (floor 0); for J < K = inf its carriers read back flagged
-approximate, as ``canonical_carrier`` flags every such carrier.
+approximate, as ``canonical_carrier`` flags every such carrier.  A ZeroPad
+block heads its currents ``t,zero`` and reads back as ``ZeroPad()``; any
+other block heads them ``t,current`` and reads back as ``IidInvariant`` with
+its per-row currents, so a ``SeededCarrier`` block reads back with equal rows
+but an ``IidInvariant`` boundary.
 """
 
 from __future__ import annotations
@@ -18,13 +22,21 @@ from .capacities import INF, Capacity
 from .carrier import CarrierPath
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock
-from .lattice import Config, Detect, IidInvariant
+from .lattice import Config, Detect, IidInvariant, ZeroPad
 
 
 def _sibling(path: str, tag: str) -> str:
     if path.endswith(".csv"):
         return path[:-4] + f".{tag}.csv"
     return path + f".{tag}.csv"
+
+
+def _ints(path: str, row: List[str]) -> Tuple[int, ...]:
+    """The non-blank fields after the row's ``t`` as decimal integers."""
+    try:
+        return tuple(map(int, filter(None, row[1:])))
+    except ValueError:
+        raise InvalidParams(f"{path}: non-integer field in row t={row[0]}") from None
 
 
 def _write_grid(path: str, rows: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
@@ -49,7 +61,8 @@ def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
     _write_grid(carrier_path, [(w.offset, w.values) for _, w in block.rows])
     with open(currents_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "current"])
+        zero = isinstance(block.config(0).boundary, ZeroPad)
+        w.writerow(["t", "zero" if zero else "current"])
         for t, c in enumerate(block.left_currents):
             w.writerow([t, "" if c is None else c])
     return path, carrier_path, currents_path
@@ -69,7 +82,7 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         offset = int(rows[0][1][1:])
         out = []
         for row in rows[1:]:
-            vals = tuple(map(int, filter(None, row[1:])))
+            vals = _ints(p, row)
             out.append((offset + len(row) - 1 - len(vals), vals))
         return out
 
@@ -77,11 +90,14 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
     car = read_grid(carrier_path)
     with open(currents_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    currents = tuple(int(r[1]) if r[1] != "" else None for r in rows[1:])
+    currents = tuple(_ints(currents_path, r)[0] if r[1] != "" else None
+                     for r in rows[1:])
     if not (len(occ) == len(car) == len(currents)):
         raise InvalidParams("block files disagree on the number of time rows")
 
-    if all(c is None for c in currents):
+    if rows[0][1:] == ["zero"]:
+        boundary = ZeroPad()
+    elif all(c is None for c in currents):
         boundary = Detect()
     elif None in currents:
         raise InvalidParams(f"{currents_path}: blank and numeric currents mixed")

@@ -48,7 +48,10 @@ def _boundary_from_args(args) -> object:
     if args.boundary == "iid":
         if not args.currents:
             raise InvalidParams("--boundary iid requires --currents")
-        return IidInvariant(tuple(int(v) for v in args.currents.split(",")))
+        try:
+            return IidInvariant(tuple(int(v) for v in args.currents.split(",")))
+        except ValueError:
+            raise InvalidParams(f"cannot parse --currents {args.currents!r}") from None
     raise InvalidParams(f"unknown boundary {args.boundary!r}")
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .capacities import INF, Capacity, is_finite, validate_capacity
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
     StateSpaceTooLarge,
     TruncationTooSmall,
 )
-from .local_rules import local_map
+from .local_rules import check_cell, local_map_array
 
 _SUM_TOL = 1e-12
 _TAIL_EPS = 1e-13   # tail mass cut from stbGeo and dual pmfs on infinite support
@@ -173,19 +175,23 @@ def stbgeo(N: Capacity, alpha: float, beta: float, m: int = 1) -> Pmf:
 # ---------------------------------------------------------------------------
 
 
+def _map_table(J: Capacity, K: Capacity, a: np.ndarray,
+               b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The local map (a', b') on the grid a x b, indexed [i, j]; validated as
+    ``local_map`` validates each pair (both grids are >= 0: the maxima decide)."""
+    check_cell(J, K, (int(a.max()), int(b.max())))
+    return local_map_array(J, K, a[:, None], b[None, :])
+
+
 def detailed_balance_residual(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf) -> float:
     """max over the (truncated) grid of |mu(a) nu(b) - mu(a') nu(b')| where
     (a', b') is the local-map image; zero iff the pair is a local fixed
     point of the dynamics in law."""
-    worst = 0.0
-    for a in range(len(mu)):
-        wa = mu.weights[a]
-        for b in range(len(nu)):
-            a2, b2 = local_map(J, K, (a, b))
-            diff = abs(wa * nu.weights[b] - mu.at(a2) * nu.at(b2))
-            if diff > worst:
-                worst = diff
-    return worst
+    m, n = mu.array(), nu.array()
+    a2, b2 = _map_table(J, K, np.arange(len(m)), np.arange(len(n)))
+    # a' + b' = a + b, so padding each pmf by the other's length covers the image
+    image = np.pad(m, (0, len(n) - 1))[a2] * np.pad(n, (0, len(m) - 1))[b2]
+    return float(np.abs(np.outer(m, n) - image).max())
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +215,14 @@ def w_chain(J: Capacity, K: Capacity, mu: Pmf,
         if state_cap is None:
             raise InvalidParams("state_cap required for K = inf")
         cap = state_cap
+    xs = np.flatnonzero(mu.array())
+    wx = mu.array()[xs]
+    # loads a outer, occupancies x inner: each entry sums in x order
+    b2 = _map_table(J, K, xs, np.arange(cap + 1))[1].T
     kernel = np.zeros((cap + 1, cap + 1))
-    clipped = np.zeros(cap + 1)
-    for a in range(cap + 1):
-        for x in range(len(mu)):
-            wx = mu.weights[x]
-            if wx == 0.0:
-                continue
-            b = local_map(J, K, (x, a))[1]
-            if b > cap:
-                clipped[a] += wx
-                b = cap
-            kernel[a, b] += wx
+    np.add.at(kernel, (np.arange(cap + 1)[:, None], np.minimum(b2, cap)), wx)
+    rows, cols = np.nonzero(b2 > cap)
+    clipped = np.bincount(rows, wx[cols], minlength=cap + 1)
     if not is_finite(K) and clipped.any() and leak_tol != math.inf:
         pi = _stationary_on_class(kernel, start=r_val(J, mu))
         leaked = float(pi @ clipped)
@@ -230,27 +232,16 @@ def w_chain(J: Capacity, K: Capacity, mu: Pmf,
     return kernel
 
 
-def _reachable(adj: np.ndarray, start: int) -> np.ndarray:
-    """Mask of the states reachable from start along the edges of adj."""
-    reach = np.zeros(adj.shape[0], dtype=bool)
-    stack = [start]
-    reach[start] = True
-    while stack:
-        a = stack.pop()
-        for b in np.nonzero(adj[a])[0]:
-            if not reach[b]:
-                reach[b] = True
-                stack.append(int(b))
-    return reach
-
-
 def _closed_class(kernel: np.ndarray, start: int) -> np.ndarray:
     """Mask of the closed communicating class that the chain started at
     start ends in; start itself may be transient."""
-    adj = kernel > 0
+    graph = csr_matrix(kernel > 0, dtype=float)   # csgraph's own dtype: no copies
+    labels = connected_components(graph, connection="strong")[1]
     while True:
-        fwd = _reachable(adj, start)
-        escaped = fwd & ~_reachable(adj.T, start)
+        fwd = np.zeros(len(kernel), dtype=bool)
+        fwd[breadth_first_order(graph, start, return_predecessors=False)] = True
+        # reached from start but outside its strong component: cannot lead back
+        escaped = fwd & (labels != labels[start])
         if not escaped.any():
             return fwd
         # a state that cannot lead back reaches strictly fewer states
@@ -385,13 +376,6 @@ class ClassifyResult:
         return self.verdict == VERDICT_INVARIANT
 
 
-def _gcd_of(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 def _reduce_measure(J: Capacity, mu: Pmf) -> Tuple[Tuple[float, ...], int, bool]:
     """Shift the support down by r (reflecting first when the support hugs
     the full side); returns (reduced weights, r, reflected)."""
@@ -425,7 +409,7 @@ def _fit_stbgeo(weights: Tuple[float, ...], Jr: Capacity, Kr: Capacity,
     the capacity/parameter compatibility conditions; None if anything fails."""
     supp = [a for a, w in enumerate(weights) if w > 0]
     mx = supp[-1]
-    m = _gcd_of(supp)
+    m = math.gcd(*supp)
     if m == 0:
         return None
     if is_finite(Jr) and mx != Jr:
@@ -546,20 +530,15 @@ def invariance_oracle(J: Capacity, K: Capacity, mu: Pmf, k: int,
         raise StateSpaceTooLarge(f"{(out_A ** k) * w_max} terms exceed {max_terms}")
     P = np.zeros((1, w_max))
     P[0, : len(nu)] = nu.weights
+    xs = np.flatnonzero(mu.array())
+    wx = mu.array()[xs]
     for _ in range(k):
-        n_t = P.shape[0]
-        P2 = np.zeros((n_t * out_A, w_max))
-        for x in range(A):
-            wx = mu.weights[x]
-            if wx == 0.0:
-                continue
-            for w in range(w_max):
-                col = P[:, w]
-                if not col.any():
-                    continue
-                a2, w2 = local_map(J, K, (x, w))
-                P2[a2::out_A, w2] += col * wx
-        P = P2
+        ws = np.flatnonzero(P.any(axis=0))
+        a2, w2 = _map_table(J, K, xs, ws)
+        # the map is a bijection, so no two (x, w) share a target
+        P2 = np.zeros((len(P), out_A, w_max))
+        P2[:, a2, w2] = P[:, None, ws] * wx[:, None]
+        P = P2.reshape(-1, w_max)
     joint = P.sum(axis=1).reshape((out_A,) * k)
     marg = np.zeros(out_A)
     marg[:A] = mu.weights

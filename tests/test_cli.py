@@ -9,7 +9,7 @@ from boxball.blockio import read_block_csv, write_block_csv
 from boxball.carrier import CarrierPath
 from boxball.cli import main
 from boxball.evolution import SpaceTimeBlock, duality_verify, evolve_block
-from boxball.lattice import Config, Detect
+from boxball.lattice import Config, Detect, ZeroPad
 
 
 def run(argv):
@@ -87,9 +87,24 @@ def test_dual_detects_corrupted_file(tmp_path, capsys):
     assert "violations=0" not in capsys.readouterr().out
 
 
+def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "block.csv"
+    run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
+         "--steps", "3", "--out", str(out)])
+    rows = list(csv.reader(open(out, newline="")))
+    rows[2][2] = "x"
+    with open(out, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "row t=1" in err
+
+
 def test_block_csv_round_trip_object_level(tmp_path):
     path = tmp_path / "b.csv"
     cases = [(1, 2, Config(0, (1, 0, 1, 1, 0), 1), 4),
+             # ZeroPad rows drain to the right; the mode is in the currents header
+             (3, 4, Config(1, (2, 1, 0), 3), 3),
              # Detect rows shrink from the left; their currents are blank
              (3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3),
              (4, 2, Config(1, (2, 2, 2, 2, 3, 0, 4, 4, 3, 1), 4, Detect()), 3),
@@ -107,7 +122,7 @@ def test_block_csv_round_trip_object_level(tmp_path):
             assert back.carrier(t) == block.carrier(t)
         if isinstance(c.boundary, Detect):
             assert block.config(steps).offset > c.offset
-            assert back == block
+        assert back == block
 
 
 def reference_block_csv(block, path):
@@ -123,7 +138,8 @@ def reference_block_csv(block, path):
                 w.writerow([t] + [r.at(n) if r.offset <= n <= r.end else "" for n in sites])
     with open(paths[2], "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t", "current"])
+        w.writerow(["t", "zero" if isinstance(block.config(0).boundary, ZeroPad)
+                     else "current"])
         for t, c in enumerate(block.left_currents):
             w.writerow([t, "" if c is None else c])
     return paths
@@ -229,9 +245,12 @@ def test_config_file_flags(tmp_path, capsys):
     assert "Invariant" in capsys.readouterr().out
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["evolve", "--J", "3"])  # missing required flags
     assert exc.value.code == 2
     assert run(["measure", "classify", "--J", "0", "--K", "2",
                 "--mu", "bernoulli:0.2"]) == 2
+    assert run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0",
+                "--boundary", "iid", "--currents", "1,x",
+                "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from boxball import (
     w_chain,
 )
 from boxball.errors import (
+    InvalidCell,
     InvalidParams,
     InvalidPmf,
     NotInMrev,
@@ -30,8 +33,10 @@ from boxball.measures import (
     TrivialShiftFamily,
     VERDICT_NOT_IN_MREV,
     VERDICT_NOT_INVARIANT,
+    _closed_class,
     sample_pmf,
 )
+from boxball.local_rules import local_map
 
 GEO_13 = Pmf((4 / 7, 2 / 7, 1 / 7))
 
@@ -172,6 +177,46 @@ def test_dual_measure_examples():
 
     # r(mu) = 0 is transient: full boxes fill the carrier, which stays at K
     assert dual_measure(1, 5, Pmf((0.0, 1.0))).weights == (0.0,) * 5 + (1.0,)
+
+
+def ref_reachable(adj, start):
+    """Depth-first mask of the states reachable from start along adj."""
+    reach = np.zeros(adj.shape[0], dtype=bool)
+    stack = [start]
+    reach[start] = True
+    while stack:
+        a = stack.pop()
+        for b in np.nonzero(adj[a])[0]:
+            if not reach[b]:
+                reach[b] = True
+                stack.append(int(b))
+    return reach
+
+
+def ref_closed_class(kernel, start):
+    adj = kernel > 0
+    while True:
+        fwd = ref_reachable(adj, start)
+        escaped = fwd & ~ref_reachable(adj.T, start)
+        if not escaped.any():
+            return fwd
+        start = int(np.argmax(escaped))
+
+
+def test_closed_class_matches_depth_first_search():
+    rng = np.random.default_rng(11)
+    several = transient = 0
+    for _ in range(120):
+        n = int(rng.integers(1, 16))
+        kernel = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.3))
+        classes = set()
+        for start in range(n):
+            want = ref_closed_class(kernel, start)
+            assert np.array_equal(_closed_class(kernel, start), want), (kernel, start)
+            classes.add(want.tobytes())
+            transient += not want[start]
+        several += len(classes) > 1
+    assert several > 50 and transient > 300
 
 
 def test_dual_measure_tail_relative_accuracy():
@@ -373,6 +418,122 @@ def test_oracle_support_narrower_than_capacity():
     assert rep.deviation < 1e-14
     rep = invariance_oracle(2, 3, Pmf((0.7, 0.3)), 1)
     assert rep.deviation < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the local-map table against its scalar definition
+# ---------------------------------------------------------------------------
+
+
+def ref_residual(J, K, mu, nu):
+    """detailed_balance_residual as one validated local_map call per pair."""
+    worst = 0.0
+    for a in range(len(mu)):
+        for b in range(len(nu)):
+            a2, b2 = local_map(J, K, (a, b))
+            diff = abs(mu.weights[a] * nu.weights[b] - mu.at(a2) * nu.at(b2))
+            if diff > worst:
+                worst = diff
+    return worst
+
+
+def ref_w_chain(J, K, mu, cap):
+    """The load kernel summed load by load, occupancy by occupancy, with
+    loads past the cap clipped into it; zero weights are never mapped."""
+    kernel = np.zeros((cap + 1, cap + 1))
+    for a in range(cap + 1):
+        for x in range(len(mu)):
+            if mu.weights[x] != 0.0:
+                b = local_map(J, K, (x, a))[1]
+                kernel[a, min(b, cap)] += mu.weights[x]
+    return kernel
+
+
+def ref_oracle_joint(J, K, mu, k, nu, w_max, out_A):
+    """The joint law of k updated sites pushed forward one (x, w) at a time."""
+    P = np.zeros((1, w_max))
+    P[0, :len(nu)] = nu.weights
+    for _ in range(k):
+        P2 = np.zeros((P.shape[0] * out_A, w_max))
+        for x in range(len(mu)):
+            if mu.weights[x] == 0.0:
+                continue
+            for w in range(w_max):
+                if P[:, w].any():
+                    a2, w2 = local_map(J, K, (x, w))
+                    P2[a2::out_A, w2] += P[:, w] * mu.weights[x]
+        P = P2
+    return P.sum(axis=1).reshape((out_A,) * k)
+
+
+def outcome(f, *args):
+    """f's value, or InvalidCell when f rejects a cell pair."""
+    try:
+        return f(*args)
+    except InvalidCell:
+        return InvalidCell
+
+
+def table_cases():
+    """(J, K, mu, duals) over J, K in {1, 2, 3, 5, inf}, not both infinite;
+    pmfs with interior zeros and a zero weight one past J, and duals of
+    several lengths up to K + 1."""
+    rng = np.random.default_rng(6)
+    caps = (1, 2, 3, 5, INF)
+    for J in caps:
+        for K in caps:
+            if J == K == INF:
+                continue
+            top = 4 if J == INF else J
+            w = rng.random(top + 1) * (rng.random(top + 1) < 0.6)
+            w[0] += 0.1
+            mus = [Pmf((0.5,) + (0.0,) * (top - 1) + (0.5,)),   # interior zeros
+                   Pmf(tuple(w / w.sum())),
+                   Pmf(tuple(w / w.sum()) + (0.0,))]            # a zero past J
+            kt = 4 if K == INF else K
+            duals = [Pmf(tuple(v / v.sum())) for v in
+                     (rng.random(n) for n in sorted({1, (kt + 2) // 2, kt + 1}))]
+            yield J, K, mus, duals
+
+
+def test_table_matches_scalar_local_map():
+    n_oracle = 0
+    for J, K, mus, duals in table_cases():
+        for mu in mus:
+            for nu in duals:   # the full grid is validated: a zero past J is rejected
+                assert (outcome(detailed_balance_residual, J, K, mu, nu)
+                        == outcome(ref_residual, J, K, mu, nu))
+            cap = 7 if K == INF else K
+            got = w_chain(J, K, mu, state_cap=cap, leak_tol=math.inf)
+            assert np.array_equal(got, ref_w_chain(J, K, mu, cap)), (J, K, mu)
+            if J != INF and len(mu) > J + 1:
+                continue        # the oracle's product law has no room past J
+            for nu in duals:
+                for k in (1, 2, 3):
+                    rep = invariance_oracle(J, K, mu, k, dual=nu)
+                    w_max = len(nu) + k * (len(mu) - 1)
+                    if K != INF:
+                        w_max = min(w_max, K + 1)
+                    ref = ref_oracle_joint(J, K, mu, k, nu, w_max, rep.joint.shape[0])
+                    assert np.array_equal(rep.joint, ref), (J, K, mu, nu, k)
+                    assert rep.deviation == float(np.abs(ref - rep.expected).max())
+                    n_oracle += 1
+    assert n_oracle >= 400
+
+
+def test_table_validates_like_local_map():
+    beyond = Pmf((0.5, 0.0, 0.5))        # positive weight at 2 > J = 1
+    with pytest.raises(InvalidCell):
+        w_chain(1, 3, beyond)
+    with pytest.raises(InvalidCell):
+        invariance_oracle(1, 3, beyond, 1, dual=uniform(3))
+    with pytest.raises(InvalidCell):
+        detailed_balance_residual(1, 3, beyond, uniform(3))
+    # a residual dual longer than K + 1 holds loads the carrier cannot carry
+    with pytest.raises(InvalidCell):
+        detailed_balance_residual(1, 2, bernoulli(0.5), uniform(3))
+    with pytest.raises(InvalidCell):
+        ref_residual(1, 2, bernoulli(0.5), uniform(3))
 
 
 # ---------------------------------------------------------------------------
