@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import stats
 
 from .capacities import Capacity
 from .carrier import CarrierPath, sweep_row
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock, current_column
 from .lattice import Config, IidInvariant
-from .local_rules import local_map_array
+from .local_rules import net_transfer
 from .measures import (
     Pmf,
     classify_invariant,
@@ -113,8 +112,13 @@ def _chi2_p(counts: np.ndarray, probs: np.ndarray) -> float:
             counts, expected = counts[:-1], expected[:-1]
     if len(counts) < 2:
         return 1.0
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    return float(stats.chi2.sf(chi2, df=len(counts) - 1))
+    return _chi2_sf(float(((counts - expected) ** 2 / expected).sum()), len(counts) - 1)
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """``scipy.stats.chi2.sf(x, df)``, read from the function that it calls."""
+    from scipy.special import chdtrc    # on first use, not with the package
+    return float(chdtrc(df, x))
 
 
 def _tv(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -164,9 +168,7 @@ def invariance_mc_test(J: Capacity, K: Capacity, mu: Pmf, L: int, T_max: int,
         tv_rows.extend(tvs)
 
     def fisher(ps: List[float]) -> float:
-        ps = [max(p, 1e-300) for p in ps]
-        stat = -2.0 * sum(math.log(p) for p in ps)
-        return float(stats.chi2.sf(stat, df=2 * len(ps)))
+        return _chi2_sf(-2.0 * sum(math.log(max(p, 1e-300)) for p in ps), 2 * len(ps))
 
     p_m = fisher([r["marginal_p"] for r in reports])
     p_pair = fisher([r["pair_p"] for r in reports])
@@ -253,30 +255,34 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
     """Track the left-most ball at site >= 1 for t_max steps, filling the
     block one anti-diagonal t + n = d at a time: cell (t, n) takes its
     occupancy from (t-1, n) and its load from (t, n-1), so a diagonal is one
-    elementwise local map.  ``occ[t]``, ``load[t]`` feed row t's next cell.
+    elementwise local map.  ``occ[t]``, ``load[t]`` feed row t's next cell;
+    each diagonal writes into preallocated rows: row t's new occupancy goes
+    to ``nxt[t + 1]``, its new load over ``load[t]``.
     The ball's pool (entering queue, then box) follows ``tagged_evolve``."""
     sites = _draw_sites(mu, spec.stream("window"))
     load = sample_pmf(nu, spec.stream("currents"), t_max)  # row t joins at d = t
-    occ = np.zeros(t_max, dtype=np.int64)
+    occ, nxt, net, scratch = np.zeros((4, t_max + 1), dtype=np.int64)
     row = -1    # row of the ball's next cell; -1 until the ball is found
     rank = cells = d = 0    # rank: place in the pool from the first box ball
     while True:
         occ[0] = site0 = next(sites)
         m = min(d + 1, t_max)
-        a, b = local_map_array(J, K, occ[:m], load[:m])
+        a, b, n = occ[:m], load[:m], net[:m]
+        net_transfer(J, K, a, b, n, scratch[:m])
+        np.add(a, n, out=nxt[1:m + 1])
         cells += m
         if row < 0 and site0 > 0:
             row, rank, x0 = 0, 1, d + 1
         if row >= 0:
-            pos = int(load[row]) + rank
-            if pos <= a[row]:
+            pos = int(b[row]) + rank
+            if pos <= nxt[row + 1]:
                 row, rank = row + 1, pos
                 if row == t_max:
                     break
             else:       # the pool's tail rides on, ahead of the next box
-                rank -= int(occ[row])
-        load[:m] = b
-        occ[1:m + 1] = a[:t_max - 1]
+                rank -= int(a[row])
+        np.subtract(b, n, out=b)
+        occ, nxt = nxt, occ
         d += 1
     x_final = d - t_max + 2
     return {"replica": float(spec.replica_index), "x0": float(x0),
@@ -320,11 +326,7 @@ def write_jsonl(records: Sequence[Dict[str, object]], path: str) -> None:
 
 def write_report_csv(records: Sequence[Dict[str, object]], path: str) -> None:
     """Flat CSV alternative to the JSON-lines report (one row per record)."""
-    keys: List[str] = []
-    for rec in records:
-        for k in rec:
-            if k not in keys:
-                keys.append(k)
+    keys = list(dict.fromkeys(k for rec in records for k in rec))   # first-seen order
     with open(path, "w") as fh:
         fh.write(",".join(keys) + "\n")
         for rec in records:

@@ -11,7 +11,7 @@ this map.
 from __future__ import annotations
 
 import enum
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,13 +57,23 @@ def local_map(J: Capacity, K: Capacity, pair: CellPair) -> CellPair:
     return a + deposit - pickup, b - deposit + pickup
 
 
+def net_transfer(J: Capacity, K: Capacity, a: np.ndarray, b: np.ndarray,
+                 out: Optional[np.ndarray], scratch: Optional[np.ndarray]) -> np.ndarray:
+    """The unvalidated net transfer min{b, J-a} - min{a, K-b} on int64 arrays,
+    written into ``out`` via ``scratch`` (neither may overlap a or b; None
+    allocates); an infinite capacity is branched on, as it limits nothing."""
+    deposit = b if J == INF else np.minimum(np.subtract(J, a, out=out), b, out=out)
+    if K == INF:
+        return np.subtract(deposit, a, out=out)
+    pickup = np.minimum(np.subtract(K, b, out=scratch), a, out=scratch)
+    return np.subtract(deposit, pickup, out=out)
+
+
 def local_map_array(J: Capacity, K: Capacity, a: np.ndarray,
                     b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The unvalidated local map on int64 arrays of occupancies a and loads b;
-    an infinite capacity is branched on, as it limits nothing."""
-    deposit = b if J == INF else np.minimum(b, J - a)
-    pickup = a if K == INF else np.minimum(a, K - b)
-    return a + deposit - pickup, b - deposit + pickup
+    """The unvalidated local map (a + net, b - net), allocating its arrays."""
+    net = net_transfer(J, K, a, b, None, None)
+    return a + net, b - net
 
 
 def local_case(J: Capacity, K: Capacity, pair: CellPair) -> Case:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .capacities import INF, Capacity, is_finite, validate_capacity
 from .errors import (
@@ -50,8 +48,8 @@ class Pmf:
     def __post_init__(self):
         if not self.weights:
             raise InvalidPmf("empty weight vector")
-        if any(w < 0 for w in self.weights):
-            raise InvalidPmf("negative weight")
+        if not all(0 <= w < math.inf for w in self.weights):   # NaN fails too
+            raise InvalidPmf("weights must be finite and non-negative")
         s = sum(self.weights)
         if self.truncated:
             if not (1 - _SUM_TOL <= s <= 1 + _SUM_TOL):
@@ -235,11 +233,12 @@ def w_chain(J: Capacity, K: Capacity, mu: Pmf,
 def _closed_class(kernel: np.ndarray, start: int) -> np.ndarray:
     """Mask of the closed communicating class that the chain started at
     start ends in; start itself may be transient."""
+    from scipy.sparse import csgraph, csr_matrix     # on first use, not at import
     graph = csr_matrix(kernel > 0, dtype=float)   # csgraph's own dtype: no copies
-    labels = connected_components(graph, connection="strong")[1]
+    labels = csgraph.connected_components(graph, connection="strong")[1]
     while True:
         fwd = np.zeros(len(kernel), dtype=bool)
-        fwd[breadth_first_order(graph, start, return_predecessors=False)] = True
+        fwd[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
         # reached from start but outside its strong component: cannot lead back
         escaped = fwd & (labels != labels[start])
         if not escaped.any():
@@ -519,6 +518,8 @@ def invariance_oracle(J: Capacity, K: Capacity, mu: Pmf, k: int,
     the product law.  Invariance holds iff the deviation vanishes."""
     if not isinstance(k, int) or not 1 <= k <= 4:
         raise InvalidParams("oracle supports 1 <= k <= 4 sites")
+    if is_finite(validate_capacity(J, "J")) and not any(mu.weights[J + 1:]):  # trim zeros
+        mu = Pmf(mu.weights[:J + 1], mu.truncated)
     nu = dual if dual is not None else dual_measure(J, K, mu)
     A = len(mu)
     w_max = len(nu) + k * max(A - 1, 0)          # loads grow at most A-1 per site

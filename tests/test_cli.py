@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import boxball
 from boxball import INF, sample_stationary_block, uniform
 from boxball.blockio import read_block_csv, write_block_csv
 from boxball.carrier import CarrierPath
@@ -191,6 +195,24 @@ def test_measure_not_in_mrev_exit_code(capsys):
                 "--mu", "0,1,0"])
     assert code == 3
     assert "NotInMrev" in capsys.readouterr().out
+
+
+def test_non_finite_weights_exit_3(capsys):
+    # a NaN weight passes a sum check, so it must be rejected by itself
+    for cmd, mu in (("classify", "nan,nan"), ("dual-measure", "0.5,nan")):
+        assert run(["measure", cmd, "--J", "1", "--K", "2", "--mu", mu]) == 3
+        assert "finite" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported on first use; a bare ``bbs`` start must not pay for it
+    src = os.path.dirname(os.path.dirname(boxball.__file__))
+    code = ("import sys, boxball, boxball.cli; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.special'))))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == ""
 
 
 def test_measure_dual_and_balance(capsys):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from boxball import (
     Config,
@@ -23,7 +26,7 @@ from boxball import (
 )
 from boxball import experiments
 from boxball.errors import InvalidParams
-from boxball.local_rules import local_map, local_map_array
+from boxball.local_rules import local_map, local_map_array, net_transfer
 from boxball.measures import sample_pmf
 
 
@@ -104,6 +107,12 @@ def test_invariance_mc_test_accepts_invariant():
                              replicas=2, rng=123, significance=1e-4)
     assert rep.passed
     assert max(rep.row_tv) < 0.05
+    # the p-values equal scipy.stats' chi-square tail exactly
+    fisher = -2.0 * sum(math.log(r["marginal_p"]) for r in rep.per_replica)
+    assert rep.marginal_p == stats.chi2.sf(fisher, df=4)
+    counts, probs = np.array([50, 30, 20]), np.array([0.4, 0.35, 0.25])
+    chi2 = ((counts - 100 * probs) ** 2 / (100 * probs)).sum()
+    assert experiments._chi2_p(counts, probs) == stats.chi2.sf(chi2, df=2)
 
 
 def test_invariance_mc_test_rejects_non_invariant():
@@ -213,9 +222,20 @@ _CAPS = st.sampled_from([1, 2, 3, 5, INF])
 def test_diagonal_map_equals_local_map(J, K, pairs):
     pairs = [(min(a, J), min(b, K)) for a, b in pairs]
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    want = [local_map(J, K, p) for p in pairs]
     a2, b2 = local_map_array(J, K, a, b)
     assert a2.dtype == b2.dtype == np.int64
-    assert list(zip(a2.tolist(), b2.tolist())) == [local_map(J, K, p) for p in pairs]
+    assert list(zip(a2.tolist(), b2.tolist())) == want
+    # the tracker's buffer form: the net transfer lands in the caller's
+    # buffer, the occupancies go one row down into the other occupancy row
+    # and the loads are written over their own input
+    m = len(pairs)
+    net, scratch, nxt = np.full((3, m + 1), -7, dtype=np.int64)
+    net_transfer(J, K, a, b, net[:m], scratch[:m])
+    np.add(a, net[:m], out=nxt[1:])
+    np.subtract(b, net[:m], out=b)
+    assert list(zip(nxt[1:].tolist(), b.tolist())) == want
+    assert nxt[0] == net[m] == -7
 
 
 def test_speed_jsonl_records():

@@ -506,12 +506,11 @@ def test_table_matches_scalar_local_map():
             cap = 7 if K == INF else K
             got = w_chain(J, K, mu, state_cap=cap, leak_tol=math.inf)
             assert np.array_equal(got, ref_w_chain(J, K, mu, cap)), (J, K, mu)
-            if J != INF and len(mu) > J + 1:
-                continue        # the oracle's product law has no room past J
             for nu in duals:
                 for k in (1, 2, 3):
                     rep = invariance_oracle(J, K, mu, k, dual=nu)
-                    w_max = len(nu) + k * (len(mu) - 1)
+                    # a zero weight past J is trimmed before loads are bounded
+                    w_max = len(nu) + k * (min(len(mu), J + 1) - 1)
                     if K != INF:
                         w_max = min(w_max, K + 1)
                     ref = ref_oracle_joint(J, K, mu, k, nu, w_max, rep.joint.shape[0])
