@@ -5,7 +5,6 @@ from .capacities import INF, Capacity, capacity_str, parse_capacity
 from .carrier import (
     CarrierPath,
     SeedReport,
-    SeedRule,
     canonical_carrier,
     carrier_from_path,
     detect_seed,

@@ -77,9 +77,12 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         """(offset, values) per row; the blanks lie left of the row."""
         with open(p, newline="") as fh:
             rows = list(csv.reader(fh))
-        if not rows or not rows[0] or rows[0][0] != "t":
-            raise InvalidParams(f"{p}: missing block header")
-        offset = int(rows[0][1][1:])
+        try:
+            offset = int(rows[0][1][1:]) if rows[0][0] == "t" else None
+        except (IndexError, ValueError):
+            offset = None
+        if offset is None:
+            raise InvalidParams(f"{p}: missing or malformed block header")
         out = []
         for row in rows[1:]:
             vals = _ints(p, row)
@@ -90,6 +93,8 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
     car = read_grid(carrier_path)
     with open(currents_path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows or any(len(r) != 2 for r in rows):
+        raise InvalidParams(f"{currents_path}: every row needs t and one value field")
     currents = tuple(_ints(currents_path, r)[0] if r[1] != "" else None
                      for r in rows[1:])
     if not (len(occ) == len(car) == len(currents)):

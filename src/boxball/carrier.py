@@ -1,16 +1,16 @@
 """Carrier construction for a configuration window in every capacity regime.
 
 The carrier load after each site satisfies W_n = F2(eta_n, W_{n-1}), and in
-every regime one site's update is a clamp map of the entering load.  One
-kernel, ``sweep_row``, composes these maps by a prefix scan; every carrier
-of the package comes from it.  Seed detection finds a window position where
-the load is forced, and the reflected-path transform for J < K is kept as
-the paper's view of the same carrier.
+every regime one site's update is a monotone clamp map of the entering
+load.  One kernel, ``sweep_row``, composes these maps by a prefix scan;
+every carrier of the package comes from it.  Seed detection sweeps from the
+two ends of the admissible load band and forces the load where the sweeps
+meet; the reflected-path transform for J < K is kept as the paper's view of
+the same carrier.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -20,12 +20,10 @@ from .capacities import INF, Capacity, validate_capacity
 from .errors import FloorTooLarge, InvalidCell, InvalidParams, ParityViolation, Undetermined
 from .lattice import (
     Config,
-    Detect,
     IidInvariant,
     PathEncoding,
     SeededCarrier,
     ZeroPad,
-    path_encode,
 )
 from .local_rules import local_map
 
@@ -66,19 +64,10 @@ class CarrierPath:
         raise KeyError(f"carrier value at {n} not covered")
 
 
-class SeedRule(enum.Enum):
-    ZERO = "zero"                 # occupancy at the floor forces the load down
-    FULL = "full"                 # occupancy at J - floor forces the load up
-    FLUCTUATION = "fluctuation"   # path average moved by more than K - J
-    RUNNING_MAX = "running_max"   # burn-in running maximum (approximate only)
-    SUPPLIED = "supplied"         # J = K: the window itself is the carrier
-
-
 @dataclass(frozen=True)
 class SeedReport:
     position: int
     forced_value: int
-    rule: SeedRule
 
 
 def verify_carrier(J: Capacity, K: Capacity, c: Config, w: CarrierPath) -> bool:
@@ -212,44 +201,42 @@ def carrier_from_path(p: PathEncoding, m2, J: Capacity) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional[SeedReport]:
-    """Find a window position where every admissible carrier is forced.
-
-    J > K: an occupancy hitting the floor band edge pins the load there.
-    J < K < inf: once the path average fluctuates by more than K - J the
-    reflected path snaps to a known level.  J < K = inf: no finite window
-    forces the carrier, returns None.  J = K: the window itself supplies the
-    carrier.
-    """
+def _forced_sweep(J: Capacity, K: Capacity, c: Config,
+                  floor: int) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
+    """(i, W, T eta): the first window index i whose load is forced and the
+    row swept from the band's lower end, exact from i on; None if unforced."""
     validate_capacity(J, "J")
     validate_capacity(K, "K")
     if floor < 0 or min(J, K) <= 2 * floor:
         raise FloorTooLarge(f"need min(J, K) > 2*floor, got {min(J, K)} <= {2 * floor}")
-    if J == K:
-        return SeedReport(c.offset, c.cells[0], SeedRule.SUPPLIED)
-    if J > K:
-        for i, v in enumerate(c.cells):
-            if v == floor:
-                return SeedReport(c.offset + i, floor, SeedRule.ZERO)
-            if v == J - floor:
-                return SeedReport(c.offset + i, K - floor, SeedRule.FULL)
+    eta = c.array()
+    if eta.min() < floor or eta.max() > J - floor:
+        raise InvalidCell(f"window cells must lie in [{floor}, {J - floor}] for floor {floor}")
+    if J < K == INF:
         return None
-    if K == INF:
+    # an infinite J deposits every entering load, so for J = K = inf any
+    # finite load stands in for the band's unbounded top
+    w, teta = sweep_row(J, K, eta, floor)
+    top, _ = sweep_row(J, K, eta, K - floor if K != INF else floor + 1)
+    met = np.flatnonzero(w == top)
+    return (int(met[0]), w, teta) if len(met) else None
+
+
+def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional[SeedReport]:
+    """Find the first window position where every admissible carrier is forced.
+
+    Carriers enter the window with a load in the band [floor, K - floor];
+    cells outside [floor, J - floor] raise InvalidCell.  Every site map is
+    monotone, so the loads reachable at a site lie between the sweeps from
+    the band's two ends; the load is forced where they meet.  J < K = inf:
+    the band is unbounded and no finite window forces the carrier, returns
+    None.
+    """
+    found = _forced_sweep(J, K, c, floor)
+    if found is None:
         return None
-    # J < K < inf: scan the doubled two-point average for a fluctuation
-    # exceeding 2(K - J); the first exceedance is set by a fresh extreme.
-    gap2 = 2 * (K - J)
-    dtil = path_encode(c).dtilde()
-    lo = hi = dtil[0]
-    for i, s in enumerate(dtil):
-        lo = min(lo, s)
-        hi = max(hi, s)
-        if hi - lo > gap2:
-            eta_i = c.cells[i]
-            if s == hi:  # new maximum: M2 = D~, so W = eta
-                return SeedReport(c.offset + i, eta_i, SeedRule.FLUCTUATION)
-            return SeedReport(c.offset + i, eta_i + K - J, SeedRule.FLUCTUATION)
-    return None
+    i, w, _ = found
+    return SeedReport(c.offset + i, int(w[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -279,40 +266,48 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     """Window restriction of the canonical carrier under the window's
     boundary mode.
 
-    Seeded modes sweep from the supplied load.  Detect mode propagates
-    forward from a forced position (the restriction starts there and the
-    value left of it is reported unknown); if no position is forced the
-    window is consistent with an alternating/degenerate tail and
-    ``Undetermined`` is raised.  For J < K = inf under Detect, the running
-    maximum is started at the window start, the first quarter of the window
-    is discarded as burn-in and the result is flagged approximate.
+    Seeded modes sweep from the supplied load.  Detect mode starts the
+    restriction at the first forced position (``detect_seed``), or for
+    J < K = inf returns a burn-in estimate flagged approximate.
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
     validate_capacity(K, "K")
     seed = _resolve_seed(c, t)
-    if seed is not None:
-        if seed > K:
-            raise InvalidCell(f"boundary seed {seed} exceeds K={K}")
-        return sweep(J, K, c, seed)[0]
+    if seed is None:
+        return _detect_row(J, K, c)[0]
+    if seed > K:
+        raise InvalidCell(f"boundary seed {seed} exceeds K={K}")
+    return sweep(J, K, c, seed)[0]
 
-    mode = c.boundary
-    assert isinstance(mode, Detect)
-    if J < K == INF:
+
+def _detect_row(J: Capacity, K: Capacity, c: Config) -> Tuple[CarrierPath, Optional[Config]]:
+    """The carrier of a Detect window and its next row, both from the kernel.
+
+    The carrier starts at the forced position (the value left of it is
+    reported unknown) and the next row holds the cells right of it, None
+    when none remain.  If no position is forced the window is consistent
+    with an alternating/degenerate tail and ``Undetermined`` is raised.  For
+    J < K = inf the running maximum is started at the window start, the
+    first quarter of the window is discarded as burn-in and the carrier is
+    flagged approximate.
+    """
+    approximate = J < K == INF
+    if approximate:
         # the canonical load is the all-time running maximum, not readable
         # from the window; an empty entering load starts it at the window
-        burn = min(len(c) - 1, int(len(c) * _BURN_IN_FRAC))
-        w, _ = sweep_row(J, K, c.array(), 0)
-        return CarrierPath(c.offset + burn, tuple(w[burn:].tolist()), None,
-                           approximate=True)
-    report = detect_seed(J, K, c, mode.floor)
-    if report is None:
-        raise Undetermined(
-            "no forced carrier value in window: consistent with an "
-            "alternating/degenerate tail")
-    i = report.position - c.offset
-    w, _ = sweep_row(J, K, c.array()[i + 1:], report.forced_value)
-    return CarrierPath(report.position, (report.forced_value,) + tuple(w.tolist()), None)
+        i = min(len(c) - 1, int(len(c) * _BURN_IN_FRAC))
+        w, teta = sweep_row(J, K, c.array(), 0)
+    else:
+        found = _forced_sweep(J, K, c, c.boundary.floor)
+        if found is None:
+            raise Undetermined(
+                "no forced carrier value in window: consistent with an "
+                "alternating/degenerate tail")
+        i, w, teta = found
+    path = CarrierPath(c.offset + i, tuple(w[i:].tolist()), None, approximate)
+    cells = tuple(teta[i + 1:].tolist())
+    return path, Config(c.offset + i + 1, cells, c.J, c.boundary) if cells else None
 
 
 def essential_boundary(J: Capacity, K: Capacity, c: Config,

@@ -1,9 +1,9 @@
 """Command line front end: evolve windows, verify duality, inspect measures
 and estimate tagged-particle speeds, reproducibly.
 
-Exit codes: 0 success, 2 bad flags, 3 domain error (undetermined carrier,
-non-reversible measure, broken duality), 4 statistical failure under
---strict.
+Exit codes: 0 success, 2 bad flags or unreadable input files, 3 domain
+error (undetermined carrier, non-reversible measure, broken duality), 4
+statistical failure under --strict.
 """
 
 from __future__ import annotations
@@ -241,14 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    try:
+        args = parser.parse_args(_apply_config_file(argv))
         return args.func(args)
-    except (InvalidParams, FloorTooLarge) as exc:
+    except (InvalidParams, FloorTooLarge, OSError) as exc:  # OSError: a file not opened
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BoxBallError as exc:

@@ -15,9 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .capacities import Capacity
-from .carrier import CarrierPath, _resolve_seed, canonical_carrier, sweep
+from .carrier import CarrierPath, _detect_row, _resolve_seed, sweep
 from .errors import (
     BoundaryNotReversible,
+    InvalidParams,
     OutOfWindow,
     TrackedBallAbsent,
     Undetermined,
@@ -47,12 +48,7 @@ def _advance(J: Capacity, K: Capacity, c: Config,
     none remain."""
     if seed is not None:
         return sweep(J, K, c, seed, drain=isinstance(c.boundary, ZeroPad))
-    w = canonical_carrier(J, K, c)
-    eta = c.cells[w.offset - c.offset + 1:]
-    # each box keeps a + W_{n-1} - W_n balls (the local map conserves a + b)
-    cells = tuple(a + w_in - w_out
-                  for a, w_in, w_out in zip(eta, w.values, w.values[1:]))
-    return w, Config(w.offset + 1, cells, c.J, c.boundary) if cells else None
+    return _detect_row(J, K, c)
 
 
 def step(J: Capacity, K: Capacity, c: Config, t: int = 0,
@@ -114,6 +110,8 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int,
     the boundary mode.  Zero-padded rows are drained and then padded to a
     common window; Detect rows shrink from the left as determinacy is lost.
     """
+    if t_max < 0:
+        raise InvalidParams(f"step count must be >= 0, got {t_max}")
     rows: List[Tuple[Config, CarrierPath]] = []
     currents: List[Optional[int]] = []
     cur = c

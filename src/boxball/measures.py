@@ -565,10 +565,11 @@ def sample_pmf(mu: Pmf, rng: np.random.Generator, size: int) -> np.ndarray:
 def pmf_from_text(text: str) -> Pmf:
     """Parse ``w0,w1,...``, ``bernoulli:p``, ``uniform:J`` or
     ``stbgeo:N,alpha,beta,m``."""
-    t = text.strip()
-    if ":" in t:
-        name, body = t.split(":", 1)
-        name = name.strip().lower()
+    name, colon, body = (s.strip() for s in text.partition(":"))
+    try:
+        if not colon:
+            return Pmf(tuple(float(tok) for tok in name.split(",")))
+        name = name.lower()
         if name == "bernoulli":
             return bernoulli(float(body))
         if name == "uniform":
@@ -579,10 +580,6 @@ def pmf_from_text(text: str) -> Pmf:
                 raise InvalidParams("stbgeo spec needs N,alpha,beta,m")
             N = INF if parts[0].lower() in ("inf", "infinity") else int(parts[0])
             return stbgeo(N, float(parts[1]), float(parts[2]), int(parts[3]))
-        raise InvalidParams(f"unknown pmf family {name!r}")
-    try:
-        weights = tuple(float(tok) for tok in t.split(","))
     except ValueError:
         raise InvalidParams(f"cannot parse pmf from {text!r}") from None
-    return Pmf(weights)
-
+    raise InvalidParams(f"unknown pmf family {name!r}")

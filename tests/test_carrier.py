@@ -7,7 +7,7 @@ from boxball import (
     Detect,
     IidInvariant,
     INF,
-    SeedRule,
+    SeedReport,
     SeededCarrier,
     canonical_carrier,
     carrier_from_path,
@@ -20,7 +20,7 @@ from boxball import (
     sweep_row,
     verify_carrier,
 )
-from boxball.errors import FloorTooLarge, ParityViolation, Undetermined
+from boxball.errors import FloorTooLarge, InvalidCell, ParityViolation, Undetermined
 
 
 def cfg(offset, cells, J, boundary=None):
@@ -180,23 +180,20 @@ def test_sweep_row_matches_sweep_all_regimes():
 def test_detect_seed_examples():
     rep = detect_seed(3, 2, cfg(1, (1, 0, 2), 3))
     assert rep.position == 2 and rep.forced_value == 0
-    assert rep.rule == SeedRule.ZERO
 
+    # loads 0 and 4 entering (2,4) both reach 0 after two empty boxes
     rep = detect_seed(2, 4, cfg(1, (0, 0, 0), 2))
-    assert rep is not None
-    assert rep.forced_value == 0 and rep.rule == SeedRule.FLUCTUATION
-    assert rep.position == 3  # two +2 steps of the average exceed K - J = 2
+    assert rep.position == 2 and rep.forced_value == 0
 
     assert detect_seed(1, INF, cfg(0, (1, 0, 1, 1), 1)) is None
 
     rep = detect_seed(2, 2, cfg(5, (1, 0), 2))
-    assert rep.position == 5 and rep.rule == SeedRule.SUPPLIED
+    assert rep.position == 5 and rep.forced_value == 1
 
 
 def test_detect_seed_full_rule():
     rep = detect_seed(3, 2, cfg(0, (1, 3, 0), 3))
     assert rep.position == 1 and rep.forced_value == 2
-    assert rep.rule == SeedRule.FULL
 
 
 def test_detect_floor_validation():
@@ -204,33 +201,99 @@ def test_detect_floor_validation():
         detect_seed(3, 2, cfg(0, (1,), 3), floor=1)
     with pytest.raises(FloorTooLarge):
         detect_seed(2, 4, cfg(0, (1,), 2), floor=1)
+    # every cell must lie in the floor band [r, J - r], in every regime
+    for J, K, cells in [(4, 3, (1, 0, 2)), (4, 3, (2, 4)), (3, 5, (1, 3)),
+                        (3, 5, (0, 2)), (3, INF, (2, 0)), (INF, 3, (0, 5))]:
+        with pytest.raises(InvalidCell):
+            detect_seed(J, K, cfg(0, cells, J), floor=1)
+    with pytest.raises(InvalidCell):
+        canonical_carrier(3, 5, cfg(0, (1, 3, 2), 3, Detect(1)))
+    assert detect_seed(3, 5, cfg(0, (1, 1, 1), 3), floor=1) == SeedReport(2, 1)
+
+
+def band_fold(J, K, cells, r):
+    """The set of loads after each site over every seed in [r, K - r]."""
+    loads = set(range(r, K - r + 1))
+    out = []
+    for v in cells:
+        loads = {local_map(J, K, (v, w))[1] for w in loads}
+        out.append(loads)
+    return out
+
+
+def paper_seed(J, K, cells, r):
+    """The paper's forcing rules, kept as the reference for detect_seed:
+    (index, value) or None.  J > K: an occupancy at a floor-band edge pins
+    the load there.  J < K < inf: once the doubled two-point path average
+    fluctuates by more than 2(K - J) the reflected path snaps to a fresh
+    extreme (this rule ignores r).  J = K: the window supplies the carrier."""
+    if J == K:
+        return 0, cells[0]
+    if J > K:
+        for i, v in enumerate(cells):
+            if v == r:
+                return i, r
+            if v == J - r:
+                return i, K - r
+        return None
+    dtil = path_encode(cfg(0, cells, J)).dtilde()
+    lo = hi = dtil[0]
+    for i, s in enumerate(dtil):
+        lo, hi = min(lo, s), max(hi, s)
+        if hi - lo > 2 * (K - J):
+            return i, cells[i] if s == hi else cells[i] + K - J
+    return None
+
+
+def random_band_window(rng, J, r):
+    n = int(rng.integers(1, 12))
+    top = J - r if J != INF else r + 6
+    return tuple(int(v) for v in rng.integers(r, top + 1, n))
 
 
 def test_detect_seed_soundness_brute_force():
-    """Every carrier the window admits under the declared floor passes
-    through the reported value."""
+    """The reported position is the first where every carrier entering
+    from the floor band carries one load, and that load is reported."""
     rng = np.random.default_rng(3)
-    for J, K, r in [(4, 3, 0), (4, 3, 1), (3, 2, 0), (2, 4, 0), (2, 3, 0), (1, 4, 0)]:
-        for _ in range(120):
-            n = int(rng.integers(2, 12))
-            if J > K:
-                cells = tuple(int(v) for v in rng.integers(r, J - r + 1, n))
-            else:
-                cells = tuple(int(v) for v in rng.integers(0, J + 1, n))
-            c = cfg(0, cells, J)
-            rep = detect_seed(J, K, c, floor=r)
-            if rep is None:
+    for J in [1, 2, 3, 4, 5, INF]:
+        for K in [1, 2, 3, 4, 5, INF]:
+            for r in range(3):
+                if J == K == INF or min(J, K) <= 2 * r:
+                    continue
+                for _ in range(40):
+                    cells = random_band_window(rng, J, r)
+                    rep = detect_seed(J, K, cfg(4, cells, J), floor=r)
+                    if J < K == INF:
+                        assert rep is None
+                        continue
+                    fold = band_fold(J, K, cells, r)
+                    first = next((i for i, s in enumerate(fold) if len(s) == 1), None)
+                    if first is None:
+                        assert rep is None, (J, K, r, cells)
+                    else:
+                        got = (rep.position, {rep.forced_value})
+                        assert got == (4 + first, fold[first]), (J, K, r, cells, rep)
+
+
+def test_detect_seed_never_later_than_paper_rule():
+    """Against the paper's rules: the kernel forces no later, and its
+    carrier takes the paper's value at the paper's position."""
+    rng = np.random.default_rng(11)
+    cases = [(J, K, r) for J in [1, 2, 3, 4, 5, INF] for K in [1, 2, 3, 4, 5]
+             for r in range(3) if min(J, K) > 2 * r]
+    compared = 0
+    for J, K, r in cases:
+        for _ in range(60):
+            cells = random_band_window(rng, J, r)
+            c = cfg(0, cells, J, Detect(r))
+            paper = paper_seed(J, K, cells, r)
+            if paper is None:
                 continue
-            seeds = range(r, K - r + 1) if J > K else range(0, K + 1)
-            for w0 in seeds:
-                w = w0
-                ok = True
-                for i, v in enumerate(cells):
-                    w = local_map(J, K, (v, w))[1]
-                    if c.offset + i == rep.position:
-                        ok = w == rep.forced_value
-                        break
-                assert ok, (J, K, r, cells, w0, rep)
+            rep = detect_seed(J, K, c, floor=r)
+            assert rep is not None and rep.position <= paper[0], (J, K, r, cells)
+            assert canonical_carrier(J, K, c).at(paper[0]) == paper[1], (J, K, r, cells)
+            compared += 1
+    assert compared > 1000
 
 
 # ---------------------------------------------------------------------------

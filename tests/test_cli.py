@@ -50,6 +50,11 @@ def test_evolve_detect_floor_usage_error(tmp_path):
                 "--boundary", "detect", "--floor", "1",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    # the floor band [r, J - r] holds the cells and [r, K - r] the loads
+    argv = ["evolve", "--J", "3", "--K", "5", "--boundary", "detect", "--floor", "1",
+            "--steps", "1", "--out", str(tmp_path / "b.csv"), "--config"]
+    assert run(argv + ["0:1,1,1,1,1,1"]) == 0
+    assert run(argv + ["0:1,1,0,1,1,1"]) == 3   # a cell below the floor
 
 
 def test_evolve_undetermined_detect_is_domain_error(tmp_path):
@@ -102,6 +107,26 @@ def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
     assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(out) in err and "row t=1" in err
+
+
+def test_malformed_or_missing_input_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "block.csv"
+    argv = ["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1", "--steps", "2",
+            "--out", str(out)]
+    dual = ["dual", "--J", "1", "--K", "2", "--in", str(out)]
+    currents = tmp_path / "block.currents.csv"
+    for path, text in [(currents, "t,current\n0\n1,0\n2,0\n"),    # row 0 lacks its value
+                       (out, "t\n0\n1\n2\n")]:                   # header without sites
+        assert run(argv) == 0
+        path.write_text(text)
+        capsys.readouterr()
+        assert run(dual) == 2
+        assert str(path) in capsys.readouterr().err
+    missing = str(tmp_path / "missing.csv")
+    for cmd in [["dual", "--J", "1", "--K", "2", "--in", missing],
+                ["measure", "classify", "--config-file", missing]]:
+        assert run(cmd) == 2
+        assert missing in capsys.readouterr().err
 
 
 def test_block_csv_round_trip_object_level(tmp_path):
@@ -275,4 +300,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--mu", "bernoulli:0.2"]) == 2
     assert run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0",
                 "--boundary", "iid", "--currents", "1,x",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    for mu in ["bernoulli:x", "uniform:x", "stbgeo:3,x,1,1"]:
+        assert run(["measure", "classify", "--J", "2", "--K", "4", "--mu", mu]) == 2
+    assert run(["evolve", "--J", "1", "--K", "2", "--config", "1:1,0,1", "--steps", "-1",
                 "--out", str(tmp_path / "x.csv")]) == 2

@@ -93,6 +93,8 @@ def test_reducibility():
                 continue
             a2, b2 = local_map(J, K, (a, b))
             assert reduced_map(J, K, r, (a, b)) == (a2 - r, b2 - r)
+            # the band is closed: Detect carriers and rows stay in it
+            assert r <= a2 <= J - r and r <= b2 <= K - r
 
 
 def test_input_validation():
