@@ -113,4 +113,4 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
     out = tuple(
         (Config(o, cells, J, boundary), CarrierPath(co, vals, cur, approx))
         for (o, cells), (co, vals), cur in zip(occ, car, currents))
-    return SpaceTimeBlock(J, K, out, currents)
+    return SpaceTimeBlock(J, K, out)

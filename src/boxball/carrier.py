@@ -12,7 +12,7 @@ the same carrier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -202,24 +202,27 @@ def carrier_from_path(p: PathEncoding, m2, J: Capacity) -> Tuple[int, ...]:
 
 
 def _forced_sweep(J: Capacity, K: Capacity, c: Config,
-                  floor: int) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
-    """(i, W, T eta): the first window index i whose load is forced and the
-    row swept from the band's lower end, exact from i on; None if unforced."""
+                  floor: int) -> Tuple[Optional[int], np.ndarray, np.ndarray]:
+    """(i, W, T eta): the row swept from the band's lower end and the first
+    window index i whose load is forced, exact from i on; i is None when
+    no load is forced (always for J < K = inf, whose band is unbounded)."""
     validate_capacity(J, "J")
     validate_capacity(K, "K")
-    if floor < 0 or min(J, K) <= 2 * floor:
+    if floor < 0:
+        raise FloorTooLarge(f"floor must be >= 0, got {floor}")
+    if min(J, K) <= 2 * floor:
         raise FloorTooLarge(f"need min(J, K) > 2*floor, got {min(J, K)} <= {2 * floor}")
     eta = c.array()
     if eta.min() < floor or eta.max() > J - floor:
         raise InvalidCell(f"window cells must lie in [{floor}, {J - floor}] for floor {floor}")
+    w, teta = sweep_row(J, K, eta, floor)
     if J < K == INF:
-        return None
+        return None, w, teta
     # an infinite J deposits every entering load, so for J = K = inf any
     # finite load stands in for the band's unbounded top
-    w, teta = sweep_row(J, K, eta, floor)
     top, _ = sweep_row(J, K, eta, K - floor if K != INF else floor + 1)
     met = np.flatnonzero(w == top)
-    return (int(met[0]), w, teta) if len(met) else None
+    return (int(met[0]) if len(met) else None), w, teta
 
 
 def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional[SeedReport]:
@@ -232,11 +235,8 @@ def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional
     the band is unbounded and no finite window forces the carrier, returns
     None.
     """
-    found = _forced_sweep(J, K, c, floor)
-    if found is None:
-        return None
-    i, w, _ = found
-    return SeedReport(c.offset + i, int(w[i]))
+    i, w, _ = _forced_sweep(J, K, c, floor)
+    return None if i is None else SeedReport(c.offset + i, int(w[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +244,17 @@ def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(c: Config, t: int = 0,
-                  supply: Optional[Sequence[int]] = None) -> Optional[int]:
-    """Entering load at time step t: ``supply[t]`` when a per-step supply is
-    given, else the load implied by the boundary mode; None under Detect."""
-    if supply is not None:
-        return int(supply[t])
+def _resolve_seed(c: Config, t: int) -> Optional[int]:
+    """Entering load of row t implied by the boundary mode; None under Detect."""
     b = c.boundary
     if isinstance(b, ZeroPad):
         return 0
     if isinstance(b, SeededCarrier):
-        if b.per_step is not None:
-            return b.per_step[t]
         return b.seed
     if isinstance(b, IidInvariant):
+        if t >= len(b.currents):
+            raise InvalidParams(f"row t={t} needs a current, but only "
+                                f"{len(b.currents)} currents are given")
         return b.currents[t]
     return None
 
@@ -276,8 +273,6 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     seed = _resolve_seed(c, t)
     if seed is None:
         return _detect_row(J, K, c)[0]
-    if seed > K:
-        raise InvalidCell(f"boundary seed {seed} exceeds K={K}")
     return sweep(J, K, c, seed)[0]
 
 
@@ -287,24 +282,22 @@ def _detect_row(J: Capacity, K: Capacity, c: Config) -> Tuple[CarrierPath, Optio
     The carrier starts at the forced position (the value left of it is
     reported unknown) and the next row holds the cells right of it, None
     when none remain.  If no position is forced the window is consistent
-    with an alternating/degenerate tail and ``Undetermined`` is raised.  For
-    J < K = inf the running maximum is started at the window start, the
-    first quarter of the window is discarded as burn-in and the carrier is
-    flagged approximate.
+    with an alternating/degenerate tail and ``Undetermined`` is raised.
+    For J < K = inf the cells pass the same floor checks, the running
+    maximum starts from load r at the window start, the first quarter of
+    the window is discarded as burn-in and the carrier is flagged
+    approximate.
     """
+    i, w, teta = _forced_sweep(J, K, c, c.boundary.floor)
     approximate = J < K == INF
     if approximate:
         # the canonical load is the all-time running maximum, not readable
-        # from the window; an empty entering load starts it at the window
+        # from the window; the sweep from the floor starts it at the window
         i = min(len(c) - 1, int(len(c) * _BURN_IN_FRAC))
-        w, teta = sweep_row(J, K, c.array(), 0)
-    else:
-        found = _forced_sweep(J, K, c, c.boundary.floor)
-        if found is None:
-            raise Undetermined(
-                "no forced carrier value in window: consistent with an "
-                "alternating/degenerate tail")
-        i, w, teta = found
+    elif i is None:
+        raise Undetermined(
+            "no forced carrier value in window: consistent with an "
+            "alternating/degenerate tail")
     path = CarrierPath(c.offset + i, tuple(w[i:].tolist()), None, approximate)
     cells = tuple(teta[i + 1:].tolist())
     return path, Config(c.offset + i + 1, cells, c.J, c.boundary) if cells else None

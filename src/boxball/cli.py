@@ -58,9 +58,6 @@ def _boundary_from_args(args) -> object:
 def cmd_evolve(args) -> int:
     J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     boundary = _boundary_from_args(args)
-    if isinstance(boundary, Detect) and min(J, K) <= 2 * boundary.floor:
-        raise FloorTooLarge(f"floor {boundary.floor} too large for "
-                            f"min(J, K) = {min(J, K)}")
     cfg = config_from_text(args.config, J, boundary)
     block = evolve_block(J, K, cfg, args.steps)
     if any(w.approximate for _, w in block.rows):

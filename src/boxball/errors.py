@@ -30,7 +30,7 @@ class ParityViolation(BoxBallError):
 
 
 class FloorTooLarge(BoxBallError):
-    """Detect floor r does not satisfy min{J, K} > 2r."""
+    """Detect floor r does not satisfy 0 <= 2r < min{J, K}."""
 
 
 class Undetermined(BoxBallError):

@@ -10,7 +10,7 @@ carrier capacities exchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ def _advance(J: Capacity, K: Capacity, c: Config,
     return _detect_row(J, K, c)
 
 
-def step(J: Capacity, K: Capacity, c: Config, t: int = 0,
-         current_supply: Optional[Sequence[int]] = None) -> Config:
+def step(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Config:
     """One forward evolution of the window.
 
     Zero-padded windows extend on the right until the carrier drains, so the
@@ -61,7 +60,7 @@ def step(J: Capacity, K: Capacity, c: Config, t: int = 0,
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
-    nxt = _advance(J, K, c, _resolve_seed(c, t, current_supply))[1]
+    nxt = _advance(J, K, c, _resolve_seed(c, t))[1]
     if nxt is None:
         raise Undetermined("window exhausted: no cell right of the forced position")
     return nxt
@@ -83,13 +82,17 @@ def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
 
 @dataclass(frozen=True)
 class SpaceTimeBlock:
-    """Rows (Config, CarrierPath) for t = 0..T, plus the left boundary
-    currents (the load entering each row; None entries under Detect)."""
+    """Rows (Config, CarrierPath) for t = 0..T.  Each carrier's left_seed
+    is the load entering its row; ``left_currents`` reads that column."""
 
     J: Capacity
     K: Capacity
     rows: Tuple[Tuple[Config, CarrierPath], ...]
-    left_currents: Tuple[Optional[int], ...]
+
+    @property
+    def left_currents(self) -> Tuple[Optional[int], ...]:
+        """The left boundary currents, one per row; None under Detect."""
+        return tuple(w.left_seed for _, w in self.rows)
 
     @property
     def t_max(self) -> int:
@@ -102,23 +105,19 @@ class SpaceTimeBlock:
         return self.rows[t][1]
 
 
-def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int,
-                 current_supply: Optional[Sequence[int]] = None) -> SpaceTimeBlock:
+def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBlock:
     """Evolve t_max steps recording every row with its carrier.
 
-    Seeds for rows 0..t_max come from current_supply (length t_max + 1) or
-    the boundary mode.  Zero-padded rows are drained and then padded to a
-    common window; Detect rows shrink from the left as determinacy is lost.
+    Seeds for rows 0..t_max come from the boundary mode.  Zero-padded rows
+    are drained and then padded to a common window; Detect rows shrink from
+    the left as determinacy is lost.
     """
     if t_max < 0:
         raise InvalidParams(f"step count must be >= 0, got {t_max}")
     rows: List[Tuple[Config, CarrierPath]] = []
-    currents: List[Optional[int]] = []
     cur = c
     for t in range(t_max + 1):
-        seed = _resolve_seed(cur, t, current_supply)
-        currents.append(seed)
-        w, nxt = _advance(J, K, cur, seed)
+        w, nxt = _advance(J, K, cur, _resolve_seed(cur, t))
         if len(w) > len(cur):  # drained past the window end
             cur = cur.with_cells(cur.offset, cur.cells + (0,) * (len(w) - len(cur)))
         rows.append((cur, w))
@@ -137,7 +136,7 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int,
                 w = CarrierPath(w.offset, w.values + (0,) * k, w.left_seed)
             padded.append((cfg, w))
         rows = padded
-    return SpaceTimeBlock(J, K, tuple(rows), tuple(currents))
+    return SpaceTimeBlock(J, K, tuple(rows))
 
 
 def current_column(b: SpaceTimeBlock, n: int) -> Tuple[Optional[int], ...]:
@@ -227,7 +226,6 @@ def default_tracked_ball(s: TaggedState) -> int:
 
 
 def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
-                  current_supply: Optional[Sequence[int]] = None,
                   tracked: Optional[int] = None,
                   ) -> Tuple[Tuple[Tuple[int, int], ...], TaggedState]:
     """Evolve with ball identities: at each site the carrier queue followed
@@ -258,7 +256,7 @@ def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
     trajectory = [locate(tracked)]
 
     for t in range(t_max):
-        seed = _resolve_seed(cfg, t, current_supply)
+        seed = _resolve_seed(cfg, t)
         if seed is None:
             raise BoundaryNotReversible("tagged dynamics need a seeded boundary mode")
         w_path, nxt = _advance(J, K, cfg, seed)

@@ -83,7 +83,7 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
         rows.append((Config(offset, tuple(eta.tolist()), J, boundary),
                      CarrierPath(offset, tuple(w.tolist()), s)))
         eta = teta
-    block = SpaceTimeBlock(J, K, tuple(rows), currents)
+    block = SpaceTimeBlock(J, K, tuple(rows))
     meta["dual"] = nu
     return block, meta
 

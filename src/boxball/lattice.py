@@ -8,7 +8,7 @@ two-point running average stays integral for odd box capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -28,10 +28,9 @@ class ZeroPad:
 
 @dataclass(frozen=True)
 class SeededCarrier:
-    """Caller supplies the load entering the window, optionally per step."""
+    """Caller supplies the load entering the window, the same every step."""
 
     seed: int
-    per_step: Optional[Tuple[int, ...]] = None
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,6 @@ def test_c04_block_duality():
         for i in range(100):
             for mode in ("zero", "iid"):
                 c = random_config(rng, J, n_max=12)
-                supply = None
                 if mode == "iid":
                     hi = 4 if K == INF else K
                     supply = tuple(int(v) for v in rng.integers(0, hi + 1, t_max + 2))
@@ -185,7 +184,7 @@ def test_c04_block_duality():
                 b1 = evolve_block(J, K, c, t_max)
                 violations += duality_verify(b1).violations
                 if i % 10 == 0:
-                    c1 = step(J, K, c, current_supply=supply)
+                    c1 = step(J, K, c)
                     if mode == "iid":
                         c1 = Config(c1.offset, c1.cells, J, IidInvariant(supply[1:]))
                     b2 = evolve_block(J, K, c1, t_max - 1)

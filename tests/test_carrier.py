@@ -13,6 +13,7 @@ from boxball import (
     carrier_from_path,
     detect_seed,
     essential_boundary,
+    evolve_block,
     local_map,
     path_encode,
     pitman_M,
@@ -201,6 +202,8 @@ def test_detect_floor_validation():
         detect_seed(3, 2, cfg(0, (1,), 3), floor=1)
     with pytest.raises(FloorTooLarge):
         detect_seed(2, 4, cfg(0, (1,), 2), floor=1)
+    with pytest.raises(FloorTooLarge, match="floor must be >= 0, got -1"):
+        detect_seed(3, 5, cfg(0, (1,), 3), floor=-1)
     # every cell must lie in the floor band [r, J - r], in every regime
     for J, K, cells in [(4, 3, (1, 0, 2)), (4, 3, (2, 4)), (3, 5, (1, 3)),
                         (3, 5, (0, 2)), (3, INF, (2, 0)), (INF, 3, (0, 5))]:
@@ -208,6 +211,12 @@ def test_detect_floor_validation():
             detect_seed(J, K, cfg(0, cells, J), floor=1)
     with pytest.raises(InvalidCell):
         canonical_carrier(3, 5, cfg(0, (1, 3, 2), 3, Detect(1)))
+    # J < K = inf Detect rows pass the same checks, though nothing is forced
+    below = cfg(0, (0, 3, 0, 3, 1, 0, 0, 2), 3, Detect(1))
+    with pytest.raises(InvalidCell):
+        canonical_carrier(3, INF, below)
+    with pytest.raises(InvalidCell):
+        evolve_block(3, INF, below, 1)
     assert detect_seed(3, 5, cfg(0, (1, 1, 1), 3), floor=1) == SeedReport(2, 1)
 
 

@@ -55,6 +55,12 @@ def test_evolve_detect_floor_usage_error(tmp_path):
             "--steps", "1", "--out", str(tmp_path / "b.csv"), "--config"]
     assert run(argv + ["0:1,1,1,1,1,1"]) == 0
     assert run(argv + ["0:1,1,0,1,1,1"]) == 3   # a cell below the floor
+    assert run(argv[:-1] + ["--floor", "-1", "--config", "0:1,1,1"]) == 2
+    # J < K = inf: the same band and floor checks, though no load is forced
+    assert run(["evolve", "--J", "3", "--K", "inf", "--boundary", "detect", "--floor", "1",
+                "--config", "0:0,3,0,3,1,0,0,2", "--out", str(tmp_path / "c.csv")]) == 3
+    assert run(["dual", "--J", "1", "--K", "inf", "--boundary", "detect", "--floor", "3",
+                "--config", "0:1,0,1,0,1,1,0,0"]) == 2
 
 
 def test_evolve_undetermined_detect_is_domain_error(tmp_path):
@@ -181,8 +187,7 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
     # rows reaching left of, right of and wholly outside row 0's sites
     ragged = SpaceTimeBlock(2, 3, tuple(
         (Config(o, cells, 2), CarrierPath(o + 1, cells, None)) for o, cells in
-        [(3, (1, 2, 0)), (1, (0, 1, 2, 2, 1, 0, 1)), (4, (2, 2, 2, 2)), (9, (1,)), (0, (2,))]),
-        (None,) * 5)
+        [(3, (1, 2, 0)), (1, (0, 1, 2, 2, 1, 0, 1)), (4, (2, 2, 2, 2)), (9, (1,)), (0, (2,))]))
     assert len(zero.config(6)) > 5 and detect.config(3).offset > 1
     for i, block in enumerate([zero, detect, stationary, ragged]):
         got = write_block_csv(block, str(tmp_path / f"got{i}.csv"))
@@ -305,3 +310,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert run(["measure", "classify", "--J", "2", "--K", "4", "--mu", mu]) == 2
     assert run(["evolve", "--J", "1", "--K", "2", "--config", "1:1,0,1", "--steps", "-1",
                 "--out", str(tmp_path / "x.csv")]) == 2
+    # fewer per-step currents than rows
+    assert run(["evolve", "--J", "2", "--K", "3", "--boundary", "iid", "--currents", "1",
+                "--steps", "3", "--config", "0:1,0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert run(["dual", "--J", "2", "--K", "3", "--boundary", "iid", "--currents", "1,0",
+                "--config", "0:1,0"]) == 2
