@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import secrets
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .blockio import read_block_csv, write_block_csv
-from .capacities import capacity_str, parse_capacity
+from .capacities import Capacity, capacity_str, parse_capacity
 from .errors import BoxBallError, FloorTooLarge, InvalidParams
 from .evolution import duality_verify, evolve_block
 from .experiments import speed_estimate, write_jsonl, write_report_csv
@@ -38,26 +38,34 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _boundary_from_args(args) -> object:
+def _checked_loads(flag: str, loads: Tuple[int, ...], K: Capacity) -> Tuple[int, ...]:
+    for v in loads:
+        if not 0 <= v <= K:
+            raise InvalidParams(f"{flag}: load {v} outside [0, {capacity_str(K)}]")
+    return loads
+
+
+def _boundary_from_args(args, K: Capacity) -> object:
     if args.boundary == "zero":
         return ZeroPad()
     if args.boundary == "detect":
         return Detect(args.floor)
     if args.boundary == "seeded":
-        return SeededCarrier(args.carrier_seed)
+        return SeededCarrier(_checked_loads("--carrier-seed", (args.carrier_seed,), K)[0])
     if args.boundary == "iid":
         if not args.currents:
             raise InvalidParams("--boundary iid requires --currents")
         try:
-            return IidInvariant(tuple(int(v) for v in args.currents.split(",")))
+            loads = tuple(int(v) for v in args.currents.split(","))
         except ValueError:
             raise InvalidParams(f"cannot parse --currents {args.currents!r}") from None
+        return IidInvariant(_checked_loads("--currents", loads, K))
     raise InvalidParams(f"unknown boundary {args.boundary!r}")
 
 
 def cmd_evolve(args) -> int:
     J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
-    boundary = _boundary_from_args(args)
+    boundary = _boundary_from_args(args, K)
     cfg = config_from_text(args.config, J, boundary)
     block = evolve_block(J, K, cfg, args.steps)
     if any(w.approximate for _, w in block.rows):
@@ -76,7 +84,7 @@ def cmd_dual(args) -> int:
     else:
         if not args.config:
             raise InvalidParams("dual needs --config or --in")
-        boundary = _boundary_from_args(args)
+        boundary = _boundary_from_args(args, K)
         cfg = config_from_text(args.config, J, boundary)
         block = evolve_block(J, K, cfg, args.steps)
     report = duality_verify(block)

@@ -21,7 +21,7 @@ from .carrier import CarrierPath, sweep_row
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock, current_column
 from .lattice import Config, IidInvariant
-from .local_rules import net_transfer
+from .local_rules import exchange_form, exchange_map
 from .measures import (
     Pmf,
     classify_invariant,
@@ -255,33 +255,36 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
     """Track the left-most ball at site >= 1 for t_max steps, filling the
     block one anti-diagonal t + n = d at a time: cell (t, n) takes its
     occupancy from (t-1, n) and its load from (t, n-1), so a diagonal is one
-    elementwise local map.  ``occ[t]``, ``load[t]`` feed row t's next cell;
-    each diagonal writes into preallocated rows: row t's new occupancy goes
-    to ``nxt[t + 1]``, its new load over ``load[t]``.
+    elementwise local map.  ``occ[t]``, ``load[t]`` feed row t's next cell,
+    held in the doubled state of ``exchange_map`` (2a - lo, 2b - lo); each
+    diagonal writes into preallocated rows: row t's new occupancy goes to
+    ``nxt[t + 1]``, its new load over ``load[t]``.
     The ball's pool (entering queue, then box) follows ``tagged_evolve``."""
     sites = _draw_sites(mu, spec.stream("window"))
-    load = sample_pmf(nu, spec.stream("currents"), t_max)  # row t joins at d = t
-    occ, nxt, net, scratch = np.zeros((4, t_max + 1), dtype=np.int64)
+    lo, zero, top = exchange_form(J, K, t_max)
+    # row t joins at d = t
+    load = (2 * sample_pmf(nu, spec.stream("currents"), t_max) - lo).astype(zero.dtype)
+    occ, nxt, q = np.zeros((3, t_max + 1), dtype=zero.dtype)
     row = -1    # row of the ball's next cell; -1 until the ball is found
     rank = cells = d = 0    # rank: place in the pool from the first box ball
     while True:
-        occ[0] = site0 = next(sites)
-        m = min(d + 1, t_max)
-        a, b, n = occ[:m], load[:m], net[:m]
-        net_transfer(J, K, a, b, n, scratch[:m])
-        np.add(a, n, out=nxt[1:m + 1])
-        cells += m
+        site0 = next(sites)
+        occ[0] = 2 * site0 - lo
         if row < 0 and site0 > 0:
             row, rank, x0 = 0, 1, d + 1
         if row >= 0:
-            pos = int(b[row]) + rank
-            if pos <= nxt[row + 1]:
+            pos = ((int(load[row]) + lo) >> 1) + rank
+        m = min(d + 1, t_max)
+        exchange_map(J, K, occ[:m], load[:m], nxt[1:m + 1], q[:m], zero[:m],
+                     None if top is None else top[:m])
+        cells += m
+        if row >= 0:
+            if 2 * pos - lo <= nxt[row + 1]:
                 row, rank = row + 1, pos
                 if row == t_max:
                     break
             else:       # the pool's tail rides on, ahead of the next box
-                rank -= int(a[row])
-        np.subtract(b, n, out=b)
+                rank -= (int(occ[row]) + lo) >> 1
         occ, nxt = nxt, occ
         d += 1
     x_final = d - t_max + 2

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .capacities import INF, Capacity, is_finite, validate_capacity
+from .capacities import Capacity, is_finite, validate_capacity
 from .errors import EitherCapacityInfinite, InvalidCell, RangeViolation
 
 CellPair = Tuple[int, int]
@@ -57,23 +57,57 @@ def local_map(J: Capacity, K: Capacity, pair: CellPair) -> CellPair:
     return a + deposit - pickup, b - deposit + pickup
 
 
-def net_transfer(J: Capacity, K: Capacity, a: np.ndarray, b: np.ndarray,
-                 out: Optional[np.ndarray], scratch: Optional[np.ndarray]) -> np.ndarray:
-    """The unvalidated net transfer min{b, J-a} - min{a, K-b} on int64 arrays,
-    written into ``out`` via ``scratch`` (neither may overlap a or b; None
-    allocates); an infinite capacity is branched on, as it limits nothing."""
-    deposit = b if J == INF else np.minimum(np.subtract(J, a, out=out), b, out=out)
-    if K == INF:
-        return np.subtract(deposit, a, out=out)
-    pickup = np.minimum(np.subtract(K, b, out=scratch), a, out=scratch)
-    return np.subtract(deposit, pickup, out=out)
+def exchange_form(J: Capacity, K: Capacity, shape) -> Tuple[int, np.ndarray,
+                                                         Optional[np.ndarray]]:
+    """lo = min{J, K} (0 if both are infinite) and the bound arrays 0 and 2M
+    of ``exchange_map``, M = |J - K| (0 if J = K; no 2M array if M = inf), of
+    ``shape`` in the state dtype: int16 when J + K < 2**14, where every value
+    lies in [-2 lo, 2(J + K)], else int64 (an infinite capacity included)."""
+    lo = min(J, K) if is_finite(min(J, K)) else 0
+    M = 0 if J == K else abs(J - K)
+    dtype = np.int16 if J + K < 2 ** 14 else np.int64
+    zero = np.zeros(shape, dtype=dtype)
+    return lo, zero, (np.full(shape, 2 * M, dtype=dtype) if is_finite(M) else None)
+
+
+def exchange_map(J: Capacity, K: Capacity, A: np.ndarray, B: np.ndarray,
+                 A_out: np.ndarray, q: np.ndarray, zero: np.ndarray,
+                 top: Optional[np.ndarray]) -> None:
+    """The unvalidated local map in doubled exchange form, in place.
+
+    With c = clip(a + b - lo, 0, M), the map is (a', b') = (b - c, a + c) for
+    J <= K and (b + c, a - c) for J > K.  On the doubled state A = 2a - lo,
+    B = 2b - lo the clip is q = clip(A + B, 0, 2M) = 2c; A' goes to ``A_out``
+    and B' over ``B`` (neither overlaps A, q overlaps nothing).  ``lo``,
+    ``zero`` and ``top`` come from ``exchange_form``."""
+    np.add(A, B, out=q)
+    np.maximum(q, zero, out=q)
+    if top is not None:
+        np.minimum(q, top, out=q)
+    if J <= K:
+        np.subtract(B, q, out=A_out)
+        np.add(A, q, out=B)
+    else:
+        np.add(B, q, out=A_out)
+        np.subtract(A, q, out=B)
 
 
 def local_map_array(J: Capacity, K: Capacity, a: np.ndarray,
                     b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The unvalidated local map (a + net, b - net), allocating its arrays."""
-    net = net_transfer(J, K, a, b, None, None)
-    return a + net, b - net
+    """The unvalidated local map of int arrays a and b, broadcast together,
+    as int64 arrays: the allocating view of ``exchange_map``."""
+    shape = np.broadcast(a, b).shape
+    lo, zero, top = exchange_form(J, K, shape)
+    # rows A', B, A: the map leaves (A', B') in the first two
+    state = np.empty((3,) + shape, dtype=zero.dtype)
+    np.add(b, b, out=state[1])
+    np.add(a, a, out=state[2])
+    state[1:] -= lo
+    exchange_map(J, K, state[2], state[1], state[0], np.empty_like(zero), zero, top)
+    pair = state[:2]
+    pair += lo
+    pair >>= 1
+    return tuple(pair.astype(np.int64, copy=False))
 
 
 def local_case(J: Capacity, K: Capacity, pair: CellPair) -> Case:

@@ -411,6 +411,28 @@ def test_c09_speed_stbgeo_three_five():
            f"runtime={dt:.1f}s (< 120s)")
 
 
+def test_c09c_speed_duality():
+    # v_{J,K}(mu) v_{K,J}(nu) = 1 for the dual pair: each side and the product
+    # (delta method) within 4 standard errors, speeds read as displacements
+    t0 = time.monotonic()
+    lines, ok = [], True
+    for J, K, mu in ((1, INF, bernoulli(0.25)), (3, 5, stbgeo(3, 0.5, 1, 1)),
+                     (2, 4, Pmf((0.5, 0.1, 0.4))), (2, 3, uniform(2))):
+        nu = classify_invariant(J, K, mu).dual
+        sides = []
+        for j, k, m in ((J, K, mu), (K, J, nu)):
+            est = speed_estimate(j, k, m, t_max=1000, replicas=16, rng=7)
+            v = np.array([(r["x_final"] - r["x0"]) / est.t_max for r in est.per_replica])
+            sides.append((v.mean(), v.std(ddof=1) / np.sqrt(len(v)), est.theoretical))
+        (v1, s1, th1), (v2, s2, th2) = sides
+        z = ((v1 - th1) / s1, (v2 - th2) / s2, (v1 * v2 - 1) / np.hypot(v2 * s1, v1 * s2))
+        ok &= max(map(abs, z)) < 4 and abs(th1 * th2 - 1) < 1e-9
+        lines.append(f"({J},{K}) v={v1:.4f} dual v={v2:.4f} product={v1 * v2:.4f} "
+                     f"z=" + ",".join(f"{x:.2f}" for x in z))
+    dt = time.monotonic() - t0
+    report("9c", ok, "; ".join(lines) + f"; runtime={dt:.1f}s")
+
+
 # ---------------------------------------------------------------------------
 # 10. staircase-of-solitons current regression
 # ---------------------------------------------------------------------------

@@ -315,3 +315,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--steps", "3", "--config", "0:1,0", "--out", str(tmp_path / "x.csv")]) == 2
     assert run(["dual", "--J", "2", "--K", "3", "--boundary", "iid", "--currents", "1,0",
                 "--config", "0:1,0"]) == 2
+    # boundary loads outside [0, K]
+    for bd in (["seeded", "--carrier-seed", "9"], ["seeded", "--carrier-seed", "-1"],
+               ["iid", "--currents", "1,1,1,-1", "--steps", "3"]):
+        assert run(["evolve", "--J", "2", "--K", "3", "--boundary", *bd, "--config", "0:1,0",
+                    "--out", str(tmp_path / "x.csv")]) == 2

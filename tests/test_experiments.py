@@ -25,8 +25,9 @@ from boxball import (
     uniform,
 )
 from boxball import experiments
+from boxball.capacities import is_finite
 from boxball.errors import InvalidParams
-from boxball.local_rules import local_map, local_map_array, net_transfer
+from boxball.local_rules import exchange_form, exchange_map, local_map, local_map_array
 from boxball.measures import sample_pmf
 
 
@@ -226,16 +227,32 @@ def test_diagonal_map_equals_local_map(J, K, pairs):
     a2, b2 = local_map_array(J, K, a, b)
     assert a2.dtype == b2.dtype == np.int64
     assert list(zip(a2.tolist(), b2.tolist())) == want
-    # the tracker's buffer form: the net transfer lands in the caller's
-    # buffer, the occupancies go one row down into the other occupancy row
-    # and the loads are written over their own input
+    # the tracker's buffer form on the doubled state 2a - lo, 2b - lo: A' goes
+    # one row down into the other occupancy row, B' over B, and no entry
+    # past the diagonal is written
     m = len(pairs)
-    net, scratch, nxt = np.full((3, m + 1), -7, dtype=np.int64)
-    net_transfer(J, K, a, b, net[:m], scratch[:m])
-    np.add(a, net[:m], out=nxt[1:])
-    np.subtract(b, net[:m], out=b)
-    assert list(zip(nxt[1:].tolist(), b.tolist())) == want
-    assert nxt[0] == net[m] == -7
+    lo, zero, top = exchange_form(J, K, m)
+    dtype = np.int16 if is_finite(J) and is_finite(K) else np.int64
+    assert zero.dtype == dtype and (top is None or top.dtype == dtype)
+    occ, nxt, load, q = np.full((4, m + 1), -7, dtype=dtype)
+    occ[:m], load[:m] = 2 * a - lo, 2 * b - lo
+    exchange_map(J, K, occ[:m], load[:m], nxt[1:], q[:m], zero, top)
+    assert list(zip(((nxt[1:] + lo) >> 1).tolist(), ((load[:m] + lo) >> 1).tolist())) == want
+    assert occ[m] == nxt[0] == load[m] == q[m] == -7
+
+
+@pytest.mark.parametrize("K, dtype", [(2 ** 14 - 2, np.int16), (2 ** 14 - 1, np.int64)])
+def test_exchange_dtype_edge(K, dtype):
+    # J + K < 2**14 picks int16; the extreme pairs give the extreme sums
+    J, pairs = 1, [(1, K), (0, 0)]
+    a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    lo, zero, top = exchange_form(J, K, len(pairs))
+    assert zero.dtype == top.dtype == dtype
+    A, B = ((2 * x - lo).astype(dtype) for x in (a, b))
+    A2, q = np.empty((2, len(pairs)), dtype=dtype)
+    exchange_map(J, K, A, B, A2, q, zero, top)
+    got = zip(((A2.astype(np.int64) + lo) >> 1).tolist(), ((B.astype(np.int64) + lo) >> 1).tolist())
+    assert list(got) == [local_map(J, K, p) for p in pairs]
 
 
 def test_speed_jsonl_records():
