@@ -3,26 +3,30 @@
 A block is written as three files: the occupancy rectangle, the carrier
 rectangle (one row per time step, header ``t,n<site>,...``) and the left
 boundary currents.  All values are decimal integers; a blank entry is a site
-left of the row's window or an undetermined current.  The floor of a Detect
-boundary is not stored, so a block whose currents are all blank reads back
-with ``Detect()`` (floor 0); for J < K = inf its carriers read back flagged
-approximate, as ``canonical_carrier`` flags every such carrier.  A ZeroPad
-block heads its currents ``t,zero`` and reads back as ``ZeroPad()``; any
-other block heads them ``t,current`` and reads back as ``IidInvariant`` with
-its per-row currents, so a ``SeededCarrier`` block reads back with equal rows
-but an ``IidInvariant`` boundary.
+outside the row's window or an undetermined current.  A row's values are
+contiguous, so a blank between two values is an error.  The floor of a
+Detect boundary is not stored, so a block whose currents are all blank reads
+back with ``Detect()`` (floor 0); for J < K = inf its carriers read back
+flagged approximate, as ``canonical_carrier`` flags every such carrier.  A
+ZeroPad block heads its currents ``t,zero`` and reads back as ``ZeroPad()``;
+any other block heads them ``t,current`` and reads back as ``IidInvariant``
+with its per-row currents, so a ``SeededCarrier`` block reads back with
+equal rows but an ``IidInvariant`` boundary.
 """
 
 from __future__ import annotations
 
 import csv
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from .capacities import INF, Capacity
-from .carrier import CarrierPath
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock
-from .lattice import Config, Detect, IidInvariant, ZeroPad
+from .lattice import Detect, IidInvariant, ZeroPad
+
+_INT64 = np.iinfo(np.int64)
 
 
 def _sibling(path: str, tag: str) -> str:
@@ -31,25 +35,27 @@ def _sibling(path: str, tag: str) -> str:
     return path + f".{tag}.csv"
 
 
-def _ints(path: str, row: List[str]) -> Tuple[int, ...]:
-    """The non-blank fields after the row's ``t`` as decimal integers."""
-    try:
-        return tuple(map(int, filter(None, row[1:])))
-    except ValueError:
-        raise InvalidParams(f"{path}: non-integer field in row t={row[0]}") from None
-
-
-def _write_grid(path: str, rows: Sequence[Tuple[int, Tuple[int, ...]]]) -> None:
-    """One line per (offset, values) row over row 0's sites, blank outside."""
-    s0, e0 = rows[0][0], rows[0][0] + len(rows[0][1]) - 1
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"n{n}" for n in range(s0, e0 + 1)])
-        for t, (off, vals) in enumerate(rows):
-            lo = min(max(off, s0), e0 + 1)      # covered sites lo..hi
-            hi = max(min(off + len(vals) - 1, e0), lo - 1)
-            w.writerow([t] + [""] * (lo - s0) + list(vals[lo - off:hi + 1 - off])
-                       + [""] * (e0 - hi))
+def _write_grid(path: str, offset: int, grid: np.ndarray, span: np.ndarray) -> None:
+    """One line per row over row 0's sites: the row's values where it
+    stores them, blank elsewhere (the bytes of ``csv.writer``).  A grid of
+    single digits is written one byte per value."""
+    s0, e0 = span[0].tolist()
+    digits = grid.size == 0 or (grid.min() >= 0 and grid.max() <= 9)
+    line = np.full(2 * (e0 - s0), ord(","), dtype=np.uint8)    # digits at even bytes
+    with open(path, "wb") as fh:
+        fh.write(",n".join(["t", *map(str, range(offset + s0, offset + e0))]).encode() + b"\r\n")
+        # each row's stored columns within row 0's, counted from s0
+        for t, (a, b) in enumerate((np.clip(span, s0, e0) - s0).tolist()):
+            if a == b:
+                fh.write(b"%d%s\r\n" % (t, b"," * (e0 - s0)))
+                continue
+            vals = grid[t, s0 + a:s0 + b]
+            if digits:
+                line[:2 * (b - a):2] = vals + ord("0")
+                text = line[:2 * (b - a) - 1].tobytes()
+            else:
+                text = ",".join(map(str, vals.tolist())).encode()
+            fh.write(b"%d%s%s%s\r\n" % (t, b"," * (a + 1), text, b"," * (e0 - s0 - b)))
 
 
 def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
@@ -57,46 +63,77 @@ def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
     it; returns the three paths."""
     carrier_path = _sibling(path, "carrier")
     currents_path = _sibling(path, "currents")
-    _write_grid(path, [(cfg.offset, cfg.cells) for cfg, _ in block.rows])
-    _write_grid(carrier_path, [(w.offset, w.values) for _, w in block.rows])
+    _write_grid(path, block.offset, block.occ, block.occ_span)
+    _write_grid(carrier_path, block.offset, block.load, block.load_span)
     with open(currents_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        zero = isinstance(block.config(0).boundary, ZeroPad)
-        w.writerow(["t", "zero" if zero else "current"])
+        w.writerow(["t", "zero" if isinstance(block.boundary, ZeroPad) else "current"])
         for t, c in enumerate(block.left_currents):
             w.writerow([t, "" if c is None else c])
     return path, carrier_path, currents_path
 
 
-def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
-    """Re-ingest a block written by write_block_csv."""
-    carrier_path = _sibling(path, "carrier")
-    currents_path = _sibling(path, "currents")
+def _parse_row(where: str, body: bytes) -> Tuple[int, np.ndarray]:
+    """(blank fields before the values, values) of a row after its ``t``."""
+    core = body.lstrip(b",")
+    start = len(body) - len(core)
+    core = core.rstrip(b",")
+    if not core:
+        raise InvalidParams(f"{where} has no values")
+    if core.translate(None, b"0123456789,-"):
+        raise InvalidParams(f"{where} has a non-integer field")
+    if len(core) == 2 * core.count(b",") + 1 and b"-" not in core:    # one digit per field
+        return start, np.frombuffer(core, dtype=np.uint8)[::2] - np.int64(48)
+    if b",," in core:
+        raise InvalidParams(f"{where} has a blank field between values")
+    # np.fromstring reads a lone '-' as 0 and saturates past the int64 range
+    bad = b"-," in core or core.endswith(b"-")
+    try:
+        vals = np.fromstring(core, dtype=np.int64, sep=",")
+    except ValueError:
+        bad = True
+    if bad or vals.max() == _INT64.max or vals.min() == _INT64.min:
+        raise InvalidParams(f"{where} has a non-integer field")
+    return start, vals
 
-    def read_grid(p: str) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(offset, values) per row; the blanks lie left of the row."""
-        with open(p, newline="") as fh:
-            rows = list(csv.reader(fh))
+
+def _read_grid(path: str) -> List[Tuple[int, np.ndarray]]:
+    """(first site, values) per row of a grid file; a row's site comes from
+    where its values lie."""
+    with open(path, "rb") as fh:
+        head = fh.readline().rstrip(b"\r\n").split(b",")
         try:
-            offset = int(rows[0][1][1:]) if rows[0][0] == "t" else None
+            offset = int(head[1][1:]) if head[0] == b"t" else None
         except (IndexError, ValueError):
             offset = None
         if offset is None:
-            raise InvalidParams(f"{p}: missing or malformed block header")
+            raise InvalidParams(f"{path}: missing or malformed block header")
         out = []
-        for row in rows[1:]:
-            vals = _ints(p, row)
-            out.append((offset + len(row) - 1 - len(vals), vals))
-        return out
+        for line in fh:
+            t, _, body = line.rstrip(b"\r\n").partition(b",")
+            start, vals = _parse_row(f"{path}: row t={t.decode(errors='replace')}", body)
+            out.append((offset + start, vals))
+    if not out:
+        raise InvalidParams(f"{path}: no time rows")
+    return out
 
-    occ = read_grid(path)
-    car = read_grid(carrier_path)
+
+def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
+    """Re-ingest a block written by write_block_csv."""
+    currents_path = _sibling(path, "currents")
+    occ = _read_grid(path)
+    car = _read_grid(_sibling(path, "carrier"))
     with open(currents_path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or any(len(r) != 2 for r in rows):
         raise InvalidParams(f"{currents_path}: every row needs t and one value field")
-    currents = tuple(_ints(currents_path, r)[0] if r[1] != "" else None
-                     for r in rows[1:])
+    currents = []
+    for t, v in rows[1:]:
+        try:
+            currents.append(int(v) if v != "" else None)
+        except ValueError:
+            raise InvalidParams(f"{currents_path}: non-integer field in row t={t}") from None
+    currents = tuple(currents)
     if not (len(occ) == len(car) == len(currents)):
         raise InvalidParams("block files disagree on the number of time rows")
 
@@ -110,7 +147,4 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         boundary = IidInvariant(currents)
     # canonical_carrier flags exactly these carriers as burn-in estimates
     approx = isinstance(boundary, Detect) and J < K == INF
-    out = tuple(
-        (Config(o, cells, J, boundary), CarrierPath(co, vals, cur, approx))
-        for (o, cells), (co, vals), cur in zip(occ, car, currents))
-    return SpaceTimeBlock(J, K, out)
+    return SpaceTimeBlock.from_spans(J, K, occ, car, currents, boundary, approx)

@@ -139,7 +139,8 @@ def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
         if J <= K:
             u, lo = 2 * eta - J, eta.copy()
         else:
-            sign = np.resize(np.array([-1, 1], dtype=np.int64), n)
+            sign = np.ones(n, dtype=np.int64)
+            sign[::2] = -1
             u = sign * K
             lo = np.where(sign > 0, eta + (K - J), -eta)
         hi = lo + abs(K - J)

@@ -9,15 +9,17 @@ carrier capacities exchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacities import Capacity
+from .capacities import Capacity, validate_capacity
 from .carrier import CarrierPath, _detect_row, _resolve_seed, sweep
 from .errors import (
     BoundaryNotReversible,
+    InvalidCell,
     InvalidParams,
     OutOfWindow,
     TrackedBallAbsent,
@@ -26,6 +28,7 @@ from .errors import (
 )
 from .lattice import (
     BallLabels,
+    BoundaryMode,
     Config,
     Detect,
     ZeroPad,
@@ -80,29 +83,103 @@ def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeBlock:
-    """Rows (Config, CarrierPath) for t = 0..T.  Each carrier's left_seed
-    is the load entering its row; ``left_currents`` reads that column."""
+    """Rows t = 0..T of a space-time block, held as two int64 arrays over
+    the sites offset, offset + 1, ...: ``occ[t, j]`` and ``load[t, j]`` are
+    the occupancy and the carrier load W of row t at site offset + j.  Row t
+    stores occupancies in the columns ``occ_span[t]`` and loads in
+    ``load_span[t]`` (half-open [lo, hi)); every other entry is 0, and the
+    columns are the union of the rows' sites.  ``left_currents[t]`` is the
+    load entering row t (None under Detect).  Every row shares the boundary
+    mode and the approximate flag; ``config(t)``, ``carrier(t)`` and
+    ``rows`` are views."""
 
     J: Capacity
     K: Capacity
-    rows: Tuple[Tuple[Config, CarrierPath], ...]
+    offset: int
+    occ: np.ndarray
+    load: np.ndarray
+    occ_span: np.ndarray
+    load_span: np.ndarray
+    left_currents: Tuple[Optional[int], ...]
+    boundary: BoundaryMode
+    approximate: bool = False
 
-    @property
-    def left_currents(self) -> Tuple[Optional[int], ...]:
-        """The left boundary currents, one per row; None under Detect."""
-        return tuple(w.left_seed for _, w in self.rows)
+    def __post_init__(self):
+        validate_capacity(self.J, "J")
+        occ = self.occ
+        if occ.size and (occ.min() < 0 or occ.max() > self.J):
+            t, j = np.argwhere((occ < 0) | (occ > self.J))[0]
+            raise InvalidCell(f"cell value {int(occ[t, j])!r} outside [0, {self.J}]")
+
+    @classmethod
+    def from_spans(cls, J: Capacity, K: Capacity,
+                   occ_rows: Sequence[Tuple[int, Sequence[int]]],
+                   load_rows: Sequence[Tuple[int, Sequence[int]]],
+                   left_currents: Sequence[Optional[int]], boundary: BoundaryMode,
+                   approximate: bool = False) -> "SpaceTimeBlock":
+        """The block of per-row (first site, values) occupancies and loads."""
+        if not occ_rows:
+            raise InvalidParams("a block needs at least one time row")
+        ends = [(s, s + len(v)) for s, v in (*occ_rows, *load_rows)]
+        lo, hi = min(a for a, _ in ends), max(b for _, b in ends)
+        grids = []
+        for rows in (occ_rows, load_rows):
+            grid = np.zeros((len(rows), hi - lo), dtype=np.int64)
+            span = np.array([(s - lo, s - lo + len(v)) for s, v in rows],
+                            dtype=np.int64).reshape(-1, 2)
+            for g, (a, b), (_, v) in zip(grid, span, rows):
+                g[a:b] = v
+            grids += [grid, span]
+        occ, occ_span, load, load_span = grids
+        return cls(J, K, lo, occ, load, occ_span, load_span, tuple(left_currents),
+                   boundary, approximate)
+
+    @classmethod
+    def from_rows(cls, J: Capacity, K: Capacity,
+                  rows: Sequence[Tuple[Config, CarrierPath]]) -> "SpaceTimeBlock":
+        """The block of (Config, CarrierPath) rows.  The rows must share J,
+        the boundary mode and the approximate flag, and every load must be
+        an integer."""
+        if not rows:
+            raise InvalidParams("a block needs at least one time row")
+        c0, w0 = rows[0]
+        for cfg, w in rows:
+            if (cfg.J, cfg.boundary, w.approximate) != (J, c0.boundary, w0.approximate):
+                raise InvalidParams("block rows must share J, the boundary mode "
+                                    "and the approximate flag")
+            for v in w.values:
+                if not isinstance(v, int):
+                    raise InvalidCell(f"loads must be integers, got {v!r}")
+        return cls.from_spans(J, K, [(cfg.offset, cfg.cells) for cfg, _ in rows],
+                              [(w.offset, w.values) for _, w in rows],
+                              [w.left_seed for _, w in rows], c0.boundary, w0.approximate)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SpaceTimeBlock) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                         for f in fields(self)))
 
     @property
     def t_max(self) -> int:
-        return len(self.rows) - 1
+        return len(self.occ) - 1
 
     def config(self, t: int) -> Config:
-        return self.rows[t][0]
+        lo, hi = self.occ_span[t].tolist()
+        return Config._unchecked(self.offset + lo, tuple(self.occ[t, lo:hi].tolist()),
+                                self.J, self.boundary)
 
     def carrier(self, t: int) -> CarrierPath:
-        return self.rows[t][1]
+        lo, hi = self.load_span[t].tolist()
+        return CarrierPath(self.offset + lo, tuple(self.load[t, lo:hi].tolist()),
+                           self.left_currents[t], self.approximate)
+
+    @cached_property
+    def rows(self) -> Tuple[Tuple[Config, CarrierPath], ...]:
+        """(Config, CarrierPath) for t = 0..T, built on first use."""
+        return tuple((self.config(t), self.carrier(t)) for t in range(self.t_max + 1))
 
 
 def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBlock:
@@ -136,21 +213,19 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBl
                 w = CarrierPath(w.offset, w.values + (0,) * k, w.left_seed)
             padded.append((cfg, w))
         rows = padded
-    return SpaceTimeBlock(J, K, tuple(rows))
+    return SpaceTimeBlock.from_rows(J, K, rows)
 
 
 def current_column(b: SpaceTimeBlock, n: int) -> Tuple[Optional[int], ...]:
     """Loads at site n for each time row; n = offset-1 gives the left
     boundary currents."""
-    offsets = [w.offset for _, w in b.rows]
-    if n == min(offsets) - 1:
+    lo, hi = b.load_span.T
+    if n == b.offset + int(lo.min()) - 1:
         return b.left_currents
-    out = []
-    for _, w in b.rows:
-        if not (w.offset <= n <= w.end):
-            raise OutOfWindow(f"site {n} not covered by every row")
-        out.append(w.at(n))
-    return tuple(out)
+    j = n - b.offset
+    if not ((lo <= j) & (j < hi)).all():
+        raise OutOfWindow(f"site {n} not covered by every row")
+    return tuple(b.load[:, j].tolist())
 
 
 @dataclass(frozen=True)
@@ -163,35 +238,37 @@ class DualityReport:
 def duality_verify(b: SpaceTimeBlock) -> DualityReport:
     """Check that each occupancy column is a BBS(K, J) carrier for the
     current column one site to its left: F2_{K,J}(W^t_n, eta^t_{n+1})
-    must equal eta^{t+1}_{n+1} at every interior cell.  One array local
-    map checks a whole row; loads are validated as ``local_map`` does."""
+    must equal eta^{t+1}_{n+1} at every interior cell, that is wherever
+    row t stores W^t_n and rows t, t+1 store the occupancy at n + 1.  One
+    array local map checks the whole block; loads are validated as
+    ``local_map`` does, and the first invalid cell raises its error."""
     J, K = b.J, b.K
-    occ = [cfg.array() for cfg, _ in b.rows]
-    bad = checked = 0
+    # interior columns [lo_t, hi_t) of row t, within the block's range [a, z)
+    lo = np.maximum(b.load_span[:-1, 0], np.maximum(b.occ_span[:-1, 0], b.occ_span[1:, 0]) - 1)
+    hi = np.minimum(b.load_span[:-1, 1], np.minimum(b.occ_span[:-1, 1], b.occ_span[1:, 1]) - 1)
+    a, z = (int(lo.min()), int(hi.max())) if len(lo) else (0, 0)
+    cols = np.arange(a, z)
+    inside = (lo[:, None] <= cols) & (cols < hi[:, None])
+    w, eta = b.load[:-1, a:z], b.occ[:-1, a + 1:z + 1]
+    # validate as local_map: the first interior cell (capacities too), then
+    # the first interior load outside [0, K]
+    for cells in (inside, inside & ((w < 0) | (w > K))):
+        if cells.any():
+            t, j = _first(cells)
+            check_cell(K, J, (int(w[t, j]), int(eta[t, j])))
+    miss = inside & (local_map_array(K, J, w, eta)[1] != b.occ[1:, a + 1:z + 1])
+    bad = int(np.count_nonzero(miss))
     first = None
-    for t in range(b.t_max):
-        cfg0, w0 = b.rows[t]
-        cfg1 = b.rows[t + 1][0]
-        lo = max(w0.offset, cfg0.offset - 1, cfg1.offset - 1)
-        hi = min(w0.end, cfg0.end - 1, cfg1.end - 1)
-        if hi < lo:
-            continue
-        loads = w0.values[lo - w0.offset:hi + 1 - w0.offset]
-        i0, i1, m = lo + 1 - cfg0.offset, lo + 1 - cfg1.offset, hi + 1 - lo
-        eta0 = occ[t][i0:i0 + m]
-        # validate as local_map: the first pair (capacities too), the rest in bulk
-        check_cell(K, J, (loads[0], cfg0.cells[i0]))
-        w = np.array(loads, dtype=np.int64) if set(map(type, loads)) == {int} else None
-        if w is None or w.min() < 0 or w.max() > K or eta0.max() > J:
-            for pair in zip(loads, cfg0.cells[i0:]):
-                check_cell(K, J, pair)
-            w = np.array(loads, dtype=np.int64)
-        miss = np.flatnonzero(local_map_array(K, J, w, eta0)[1] != occ[t + 1][i1:i1 + m])
-        checked += m
-        bad += len(miss)
-        if first is None and len(miss):
-            first = (lo + int(miss[0]), t)
-    return DualityReport(bad, checked, first)
+    if bad:
+        t, j = _first(miss)
+        first = (b.offset + a + j, t)
+    return DualityReport(bad, int(np.count_nonzero(inside)), first)
+
+
+def _first(mask: np.ndarray) -> Tuple[int, int]:
+    """(row, column) of the first True entry of a 2-d mask in row order."""
+    t, j = np.unravel_index(int(mask.argmax()), mask.shape)
+    return int(t), int(j)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .capacities import Capacity
-from .carrier import CarrierPath, sweep_row
+from .carrier import sweep_row
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock, current_column
-from .lattice import Config, IidInvariant
+from .lattice import IidInvariant
 from .local_rules import exchange_form, exchange_map
 from .measures import (
     Pmf,
@@ -74,16 +74,18 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
         nu = dual_measure(J, K, mu)
         meta["warning"] = ("measure is not invariant: the block law is not "
                            "the stationary restriction")
+    if L < 1:
+        raise InvalidParams("window must be non-empty")
     eta = sample_pmf(mu, spec.stream("window"), L)
     currents = tuple(sample_pmf(nu, spec.stream("currents"), T_max + 1).tolist())
-    boundary = IidInvariant(currents)
-    rows = []
-    for s in currents:      # eta advances by one sweep per current
-        w, teta = sweep_row(J, K, eta, s)
-        rows.append((Config(offset, tuple(eta.tolist()), J, boundary),
-                     CarrierPath(offset, tuple(w.tolist()), s)))
-        eta = teta
-    block = SpaceTimeBlock(J, K, tuple(rows))
+    occ = np.empty((T_max + 2, L), dtype=np.int64)
+    load = np.empty((T_max + 1, L), dtype=np.int64)
+    occ[0] = eta
+    for t, s in enumerate(currents):    # row t + 1 is one sweep of row t
+        load[t], occ[t + 1] = sweep_row(J, K, occ[t], s)
+    span = np.tile(np.array([0, L], dtype=np.int64), (T_max + 1, 1))
+    block = SpaceTimeBlock(J, K, offset, occ[:-1], load, span, span, currents,
+                           IidInvariant(currents))
     meta["dual"] = nu
     return block, meta
 
@@ -151,12 +153,8 @@ def invariance_mc_test(J: Capacity, K: Capacity, mu: Pmf, L: int, T_max: int,
     for rep in range(replicas):
         block, _ = sample_stationary_block(
             J, K, mu, L, T_max, RngSpec(master, rep))
-        tvs = []
-        for t in range(block.t_max + 1):
-            row = block.config(t).array()
-            counts = np.bincount(row, minlength=A)[:A]
-            tvs.append(_tv(counts, probs))
-        last = block.config(block.t_max).array()
+        tvs = [_tv(np.bincount(row, minlength=A)[:A], probs) for row in block.occ]
+        last = block.occ[-1]
         counts = np.bincount(last, minlength=A)[:A]
         p_m = _chi2_p(counts, probs)
         h = len(last) // 2
@@ -192,9 +190,9 @@ def current_iid_test(block: SpaceTimeBlock, nu_expected: Pmf,
                      significance: float = 0.01) -> CurrentIidReport:
     """Test an interior column of carrier loads against the expected dual
     law (marginal chi-square) and bound its lag-1 sample autocorrelation."""
-    w0 = block.rows[0][1]
     if column is None:
-        column = (w0.offset + w0.end) // 2
+        lo, hi = block.load_span[0].tolist()
+        column = block.offset + (lo + hi - 1) // 2
     vals = np.asarray(current_column(block, column), dtype=np.int64)
     T = len(vals)
     probs = nu_expected.array()

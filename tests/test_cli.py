@@ -13,7 +13,7 @@ from boxball.blockio import read_block_csv, write_block_csv
 from boxball.carrier import CarrierPath
 from boxball.cli import main
 from boxball.evolution import SpaceTimeBlock, duality_verify, evolve_block
-from boxball.lattice import Config, Detect, ZeroPad
+from boxball.lattice import Config, Detect, IidInvariant, SeededCarrier, ZeroPad
 
 
 def run(argv):
@@ -100,6 +100,13 @@ def test_dual_detects_corrupted_file(tmp_path, capsys):
     code = run(["dual", "--J", "1", "--K", "2", "--in", str(out)])
     assert code == 3
     assert "violations=0" not in capsys.readouterr().out
+    # an occupancy outside [0, J] is a domain error of the block itself
+    for bad in ("2", "-1"):
+        rows[2][2] = bad
+        with open(out, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 3
+        assert f"cell value {bad} outside [0, 1]" in capsys.readouterr().err
 
 
 def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
@@ -107,12 +114,41 @@ def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
     run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
          "--steps", "3", "--out", str(out)])
     rows = list(csv.reader(open(out, newline="")))
-    rows[2][2] = "x"
+    # a lone sign, a space or a value past the int64 range must not read as a number
+    for bad in ("x", "-", "+", " ", "1.5", "1e3", "99999999999999999999"):
+        rows[2][2] = bad
+        with open(out, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "row t=1" in err
+
+
+def test_block_rows_read_back_where_their_values_lie(tmp_path, capsys):
+    # rows that stop short of row 0's right end keep their offsets
+    block = SpaceTimeBlock.from_rows(2, 3, tuple(
+        (Config(o, cells, 2), CarrierPath(o, loads, None)) for o, cells, loads in
+        [(1, (1, 2, 0, 1), (1, 3, 0, 1)), (1, (0, 1), (0, 1)), (2, (2, 1), (2, 1))]))
+    path = str(tmp_path / "b.csv")
+    write_block_csv(block, path)
+    assert open(path).read().splitlines()[2] == "1,0,1,,"
+    back = read_block_csv(path, 2, 3)
+    assert [back.config(t).offset for t in range(3)] == [1, 1, 2]
+    assert [back.carrier(t).offset for t in range(3)] == [1, 1, 2]
+    assert back == block
+    # a blank between two values is a usage error naming the file and row
+    out = tmp_path / "block.csv"
+    run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
+         "--steps", "3", "--out", str(out)])
+    rows = list(csv.reader(open(out, newline="")))
+    assert "" not in rows[3]
+    rows[3][3] = ""
     with open(out, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
+    capsys.readouterr()
     assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 2
     err = capsys.readouterr().err
-    assert str(out) in err and "row t=1" in err
+    assert str(out) in err and "row t=2" in err and "blank" in err
 
 
 def test_malformed_or_missing_input_file_is_usage_error(tmp_path, capsys):
@@ -121,13 +157,17 @@ def test_malformed_or_missing_input_file_is_usage_error(tmp_path, capsys):
             "--out", str(out)]
     dual = ["dual", "--J", "1", "--K", "2", "--in", str(out)]
     currents = tmp_path / "block.currents.csv"
-    for path, text in [(currents, "t,current\n0\n1,0\n2,0\n"),    # row 0 lacks its value
-                       (out, "t\n0\n1\n2\n")]:                   # header without sites
+    carrier = tmp_path / "block.carrier.csv"
+    # each case rewrites files of a good block; the first file is the one named
+    for files in [{currents: "t,current\n0\n1,0\n2,0\n"},     # row 0 lacks its value
+                  {out: "t\n0\n1\n2\n"},                    # header without sites
+                  {out: "t,n0\n", carrier: "t,n0\n", currents: "t,zero\n"}]:   # no rows
         assert run(argv) == 0
-        path.write_text(text)
+        for path, text in files.items():
+            path.write_text(text)
         capsys.readouterr()
         assert run(dual) == 2
-        assert str(path) in capsys.readouterr().err
+        assert str(next(iter(files))) in capsys.readouterr().err
     missing = str(tmp_path / "missing.csv")
     for cmd in [["dual", "--J", "1", "--K", "2", "--in", missing],
                 ["measure", "classify", "--config-file", missing]]:
@@ -185,11 +225,17 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
     detect = evolve_block(3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3)
     stationary = sample_stationary_block(2, 4, uniform(2), 200, 8, 5)[0]
     # rows reaching left of, right of and wholly outside row 0's sites
-    ragged = SpaceTimeBlock(2, 3, tuple(
+    ragged = SpaceTimeBlock.from_rows(2, 3, tuple(
         (Config(o, cells, 2), CarrierPath(o + 1, cells, None)) for o, cells in
         [(3, (1, 2, 0)), (1, (0, 1, 2, 2, 1, 0, 1)), (4, (2, 2, 2, 2)), (9, (1,)), (0, (2,))]))
+    # multi-digit fields: a J = 12 window and K = inf loads, and a seeded boundary
+    wide = evolve_block(12, 5, Config(-3, (12, 11, 0, 10, 9, 12, 3), 12), 6)
+    heavy = evolve_block(INF, INF, Config(1, (14, 0, 3, 0, 27), INF,
+                                          IidInvariant((13, 0, 41, 7))), 3)
+    seeded = evolve_block(3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, SeededCarrier(2)), 4)
+    assert max(wide.config(0).cells) >= 10 and max(heavy.carrier(2).values) >= 10
     assert len(zero.config(6)) > 5 and detect.config(3).offset > 1
-    for i, block in enumerate([zero, detect, stationary, ragged]):
+    for i, block in enumerate([zero, detect, stationary, ragged, wide, heavy, seeded]):
         got = write_block_csv(block, str(tmp_path / f"got{i}.csv"))
         ref = reference_block_csv(block, str(tmp_path / f"ref{i}.csv"))
         for g, r in zip(got, ref):

@@ -178,7 +178,7 @@ def test_duality_verify_detects_corruption():
     bad_cells[2] = 1 - bad_cells[2]
     bad_row = (cfg2.with_cells(cfg2.offset, bad_cells), w2)
     rows = b.rows[:2] + (bad_row,) + b.rows[3:]
-    bad = SpaceTimeBlock(b.J, b.K, rows)
+    bad = SpaceTimeBlock.from_rows(b.J, b.K, rows)
     assert duality_verify(bad).violations >= 1
 
 
@@ -206,7 +206,7 @@ def with_row(b, t, cells=None, loads=None):
         cfg0 = cfg0.with_cells(cfg0.offset, cells)
     if loads is not None:
         w0 = CarrierPath(w0.offset, tuple(loads), w0.left_seed, w0.approximate)
-    return SpaceTimeBlock(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:])
+    return SpaceTimeBlock.from_rows(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:])
 
 
 DUAL_CAPS = [1, 2, 3, 5, INF]

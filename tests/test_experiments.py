@@ -15,6 +15,7 @@ from boxball import (
     classify_invariant,
     current_iid_test,
     dual_measure,
+    evolve_block,
     invariance_mc_test,
     invariance_oracle,
     sample_stationary_block,
@@ -55,6 +56,28 @@ def test_sampler_row_density_and_reproducibility():
         assert abs(row.mean() - 0.25) < 0.03
     block2, _ = sample_stationary_block(1, INF, mu, L=4000, T_max=20, rng=5)
     assert block2.rows[20][0] == block.rows[20][0]
+
+
+def test_sampler_equals_row_by_row_evolution():
+    # the array fill against evolve_block's per-row path on the same draws
+    caps = [1, 2, 3, 5, INF]
+    for J in caps:
+        for K in caps:
+            if J == K == INF:
+                continue
+            mu = stbgeo(J, 0.5, 1, 1)
+            block, meta = sample_stationary_block(J, K, mu, L=40, T_max=6, rng=11)
+            assert meta["verdict"] == "Invariant"
+            spec = RngSpec(11)
+            eta = tuple(sample_pmf(mu, spec.stream("window"), 40).tolist())
+            currents = tuple(sample_pmf(meta["dual"], spec.stream("currents"), 7).tolist())
+            ref = evolve_block(J, K, Config(1, eta, J, IidInvariant(currents)), 6)
+            assert block == ref and ref == block
+            assert block.rows == ref.rows
+            assert block.left_currents == ref.left_currents == currents
+            for t in range(7):
+                assert block.config(t) == ref.config(t)
+                assert block.carrier(t) == ref.carrier(t)
 
 
 def test_sampler_j_equals_k_shifts_with_insertions():
