@@ -27,6 +27,7 @@ from .evolution import SpaceTimeBlock
 from .lattice import Detect, IidInvariant, ZeroPad
 
 _INT64 = np.iinfo(np.int64)
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _sibling(path: str, tag: str) -> str:
@@ -35,27 +36,31 @@ def _sibling(path: str, tag: str) -> str:
     return path + f".{tag}.csv"
 
 
+def _fields(vals: np.ndarray) -> bytes:
+    """``,v0,v1,...`` for an int64 array, one decimal digit at a time."""
+    if not len(vals):
+        return b""
+    mag, neg = np.abs(vals).view(np.uint64), vals < 0    # |int64 min| wraps to 2**63
+    nd = 1 + np.searchsorted(_POW10, mag, side="right")     # digits of each |v|
+    end = np.cumsum(nd + neg + 1)
+    out = np.full(end[-1], ord("-"), dtype=np.uint8)
+    out[end - nd - neg - 1] = ord(",")
+    for k in range(nd.max()):
+        has = nd > k
+        out[end[has] - k - 1] = mag[has] // 10 ** k % 10 + ord("0")
+    return out.tobytes()
+
+
 def _write_grid(path: str, offset: int, grid: np.ndarray, span: np.ndarray) -> None:
     """One line per row over row 0's sites: the row's values where it
-    stores them, blank elsewhere (the bytes of ``csv.writer``).  A grid of
-    single digits is written one byte per value."""
+    stores them, blank elsewhere (the bytes of ``csv.writer``)."""
     s0, e0 = span[0].tolist()
-    digits = grid.size == 0 or (grid.min() >= 0 and grid.max() <= 9)
-    line = np.full(2 * (e0 - s0), ord(","), dtype=np.uint8)    # digits at even bytes
     with open(path, "wb") as fh:
         fh.write(",n".join(["t", *map(str, range(offset + s0, offset + e0))]).encode() + b"\r\n")
         # each row's stored columns within row 0's, counted from s0
         for t, (a, b) in enumerate((np.clip(span, s0, e0) - s0).tolist()):
-            if a == b:
-                fh.write(b"%d%s\r\n" % (t, b"," * (e0 - s0)))
-                continue
-            vals = grid[t, s0 + a:s0 + b]
-            if digits:
-                line[:2 * (b - a):2] = vals + ord("0")
-                text = line[:2 * (b - a) - 1].tobytes()
-            else:
-                text = ",".join(map(str, vals.tolist())).encode()
-            fh.write(b"%d%s%s%s\r\n" % (t, b"," * (a + 1), text, b"," * (e0 - s0 - b)))
+            text = _fields(grid[t, s0 + a:s0 + b])
+            fh.write(b"%d%s%s%s\r\n" % (t, b"," * a, text, b"," * (e0 - s0 - b)))
 
 
 def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
@@ -82,8 +87,6 @@ def _parse_row(where: str, body: bytes) -> Tuple[int, np.ndarray]:
         raise InvalidParams(f"{where} has no values")
     if core.translate(None, b"0123456789,-"):
         raise InvalidParams(f"{where} has a non-integer field")
-    if len(core) == 2 * core.count(b",") + 1 and b"-" not in core:    # one digit per field
-        return start, np.frombuffer(core, dtype=np.uint8)[::2] - np.int64(48)
     if b",," in core:
         raise InvalidParams(f"{where} has a blank field between values")
     # np.fromstring reads a lone '-' as 0 and saturates past the int64 range
@@ -92,7 +95,8 @@ def _parse_row(where: str, body: bytes) -> Tuple[int, np.ndarray]:
         vals = np.fromstring(core, dtype=np.int64, sep=",")
     except ValueError:
         bad = True
-    if bad or vals.max() == _INT64.max or vals.min() == _INT64.min:
+    if (bad or len(vals) != core.count(b",") + 1
+            or vals.max() == _INT64.max or vals.min() == _INT64.min):
         raise InvalidParams(f"{where} has a non-integer field")
     return start, vals
 

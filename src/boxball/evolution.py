@@ -109,6 +109,10 @@ class SpaceTimeBlock:
     def __post_init__(self):
         validate_capacity(self.J, "J")
         occ = self.occ
+        if not (occ.dtype == self.load.dtype == np.int64 and occ.ndim == 2
+                and occ.shape == self.load.shape):
+            raise InvalidParams("a block needs int64 occupancy and load arrays "
+                                "of one 2-d shape")
         if occ.size and (occ.min() < 0 or occ.max() > self.J):
             t, j = np.argwhere((occ < 0) | (occ > self.J))[0]
             raise InvalidCell(f"cell value {int(occ[t, j])!r} outside [0, {self.J}]")
@@ -162,14 +166,18 @@ class SpaceTimeBlock:
             for a, b in ((getattr(self, f.name), getattr(other, f.name))
                          for f in fields(self)))
 
+    def __hash__(self) -> int:
+        return hash((self.J, self.K, self.offset, self.left_currents, self.boundary,
+                     self.approximate))
+
     @property
     def t_max(self) -> int:
         return len(self.occ) - 1
 
     def config(self, t: int) -> Config:
         lo, hi = self.occ_span[t].tolist()
-        return Config._unchecked(self.offset + lo, tuple(self.occ[t, lo:hi].tolist()),
-                                self.J, self.boundary)
+        return Config(self.offset + lo, tuple(self.occ[t, lo:hi].tolist()), self.J,
+                      self.boundary)
 
     def carrier(self, t: int) -> CarrierPath:
         lo, hi = self.load_span[t].tolist()

@@ -76,15 +76,6 @@ class Config:
             if not isinstance(v, int) or v < 0 or v > self.J:
                 raise InvalidCell(f"cell value {v!r} outside [0, {self.J}]")
 
-    @classmethod
-    def _unchecked(cls, offset: int, cells: Tuple[int, ...], J: Capacity,
-                  boundary: BoundaryMode) -> "Config":
-        """A window whose cells are already known to be ints within [0, J]
-        (a row of a ``SpaceTimeBlock``), built without the per-cell check."""
-        c = object.__new__(cls)
-        c.__dict__.update(offset=offset, cells=cells, J=J, boundary=boundary)
-        return c
-
     def __len__(self) -> int:
         return len(self.cells)
 

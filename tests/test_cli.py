@@ -114,8 +114,9 @@ def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
     run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
          "--steps", "3", "--out", str(out)])
     rows = list(csv.reader(open(out, newline="")))
-    # a lone sign, a space or a value past the int64 range must not read as a number
-    for bad in ("x", "-", "+", " ", "1.5", "1e3", "99999999999999999999"):
+    # a lone or inner sign, a space or a value past the int64 range must not
+    # read as a number
+    for bad in ("x", "-", "+", " ", "1.5", "1e3", "1-1", "99999999999999999999"):
         rows[2][2] = bad
         with open(out, "w", newline="") as fh:
             csv.writer(fh).writerows(rows)
@@ -138,17 +139,25 @@ def test_block_rows_read_back_where_their_values_lie(tmp_path, capsys):
     assert back == block
     # a blank between two values is a usage error naming the file and row
     out = tmp_path / "block.csv"
-    run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
-         "--steps", "3", "--out", str(out)])
-    rows = list(csv.reader(open(out, newline="")))
-    assert "" not in rows[3]
-    rows[3][3] = ""
-    with open(out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    capsys.readouterr()
-    assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert str(out) in err and "row t=2" in err and "blank" in err
+    carrier = tmp_path / "block.carrier.csv"
+    # one blank beside a multi-digit value, in an occupancy row and in the
+    # last carrier row (whose loads duality_verify never reads)
+    for path, t, fields in [(out, 2, None), (out, 1, ["12", "3", "", "4"]),
+                            (carrier, 3, ["10", "", "3", ""])]:
+        assert run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
+                    "--steps", "3", "--out", str(out)]) == 0
+        rows = list(csv.reader(open(path, newline="")))
+        if fields is None:
+            assert "" not in rows[t + 1]
+            rows[t + 1][3] = ""
+        else:
+            rows[t + 1][1:] = fields
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"row t={t}" in err and "blank" in err
 
 
 def test_malformed_or_missing_input_file_is_usage_error(tmp_path, capsys):
@@ -233,9 +242,13 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
     heavy = evolve_block(INF, INF, Config(1, (14, 0, 3, 0, 27), INF,
                                           IidInvariant((13, 0, 41, 7))), 3)
     seeded = evolve_block(3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, SeededCarrier(2)), 4)
+    # signed loads out to the int64 range
+    signed = SpaceTimeBlock.from_rows(2, 3, ((Config(0, (1, 0, 2, 1, 0), 2), CarrierPath(
+        0, (-1, -10, 10**18, 2**63 - 1, -2**63), None)),))
     assert max(wide.config(0).cells) >= 10 and max(heavy.carrier(2).values) >= 10
     assert len(zero.config(6)) > 5 and detect.config(3).offset > 1
-    for i, block in enumerate([zero, detect, stationary, ragged, wide, heavy, seeded]):
+    for i, block in enumerate([zero, detect, stationary, ragged, wide, heavy, seeded,
+                               signed]):
         got = write_block_csv(block, str(tmp_path / f"got{i}.csv"))
         ref = reference_block_csv(block, str(tmp_path / f"ref{i}.csv"))
         for g, r in zip(got, ref):

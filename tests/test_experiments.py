@@ -72,7 +72,7 @@ def test_sampler_equals_row_by_row_evolution():
             eta = tuple(sample_pmf(mu, spec.stream("window"), 40).tolist())
             currents = tuple(sample_pmf(meta["dual"], spec.stream("currents"), 7).tolist())
             ref = evolve_block(J, K, Config(1, eta, J, IidInvariant(currents)), 6)
-            assert block == ref and ref == block
+            assert block == ref and ref == block and hash(block) == hash(ref)
             assert block.rows == ref.rows
             assert block.left_currents == ref.left_currents == currents
             for t in range(7):
