@@ -19,6 +19,7 @@ import numpy as np
 from .capacities import INF, Capacity, validate_capacity
 from .errors import FloorTooLarge, InvalidCell, InvalidParams, ParityViolation, Undetermined
 from .lattice import (
+    BoundaryMode,
     Config,
     IidInvariant,
     PathEncoding,
@@ -96,17 +97,46 @@ def sweep(J: Capacity, K: Capacity, c: Config, seed: int,
     the window end until the carrier empties, extending the output (used for
     zero-padded configurations so mass is conserved).
     """
+    _, w, teta = advance_row(J, K, c.array(), seed, ZeroPad() if drain else SeededCarrier(seed))
+    cfg = Config(c.offset, tuple(teta.tolist()), c.J, c.boundary)
+    return CarrierPath(c.offset, tuple(w.tolist()), seed), cfg
+
+
+def advance_row(J: Capacity, K: Capacity, eta: np.ndarray, seed: Optional[int],
+                boundary: BoundaryMode) -> Tuple[int, np.ndarray, np.ndarray]:
+    """One row of the dynamics on the window cells ``eta``: (i, W, T eta),
+    W the loads from window index i on and T eta the next row's cells from
+    index i (seeded rows) or i + 1 (Detect rows).
+
+    A seeded row starts at i = 0 from its entering load ``seed``; under
+    ``ZeroPad`` it drains over empty cells past the window end, so W and
+    T eta may be longer than the window.  A Detect row (``seed`` None)
+    starts at the forced index of ``detect_seed`` and raises
+    ``Undetermined`` when there is none.  For J < K = inf it is swept from
+    the floor (the cells pass the same floor checks) and the first quarter
+    of the window is discarded as burn-in: those carriers are approximate.
+    """
+    if seed is None:
+        i, w, teta = _forced_sweep(J, K, eta, boundary.floor)
+        if J < K == INF:
+            # the canonical load is the all-time running maximum, not readable
+            # from the window; the sweep from the floor starts it at the window
+            i = min(len(eta) - 1, int(len(eta) * _BURN_IN_FRAC))
+        elif i is None:
+            raise Undetermined(
+                "no forced carrier value in window: consistent with an "
+                "alternating/degenerate tail")
+        return i, w[i:], teta[i + 1:]
     if not (0 <= seed <= K):
         raise InvalidCell(f"seed {seed} outside [0, {K}]")
-    w, teta = sweep_row(J, K, c.array(), seed)
-    left = int(w[-1])
-    if drain and left > 0:
+    w, teta = sweep_row(J, K, eta, seed)
+    if isinstance(boundary, ZeroPad) and w[-1] > 0:
         # each empty cell takes min(W, J) balls off the carrier
+        left = int(w[-1])
         extra = 1 if J == INF else -(-left // J)
         w2, teta2 = sweep_row(J, K, np.zeros(extra, dtype=np.int64), left)
         w, teta = np.concatenate([w, w2]), np.concatenate([teta, teta2])
-    cfg = Config(c.offset, tuple(teta.tolist()), c.J, c.boundary)
-    return CarrierPath(c.offset, tuple(w.tolist()), seed), cfg
+    return 0, w, teta
 
 
 def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
@@ -202,7 +232,7 @@ def carrier_from_path(p: PathEncoding, m2, J: Capacity) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _forced_sweep(J: Capacity, K: Capacity, c: Config,
+def _forced_sweep(J: Capacity, K: Capacity, eta: np.ndarray,
                   floor: int) -> Tuple[Optional[int], np.ndarray, np.ndarray]:
     """(i, W, T eta): the row swept from the band's lower end and the first
     window index i whose load is forced, exact from i on; i is None when
@@ -213,7 +243,6 @@ def _forced_sweep(J: Capacity, K: Capacity, c: Config,
         raise FloorTooLarge(f"floor must be >= 0, got {floor}")
     if min(J, K) <= 2 * floor:
         raise FloorTooLarge(f"need min(J, K) > 2*floor, got {min(J, K)} <= {2 * floor}")
-    eta = c.array()
     if eta.min() < floor or eta.max() > J - floor:
         raise InvalidCell(f"window cells must lie in [{floor}, {J - floor}] for floor {floor}")
     w, teta = sweep_row(J, K, eta, floor)
@@ -236,7 +265,7 @@ def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional
     the band is unbounded and no finite window forces the carrier, returns
     None.
     """
-    i, w, _ = _forced_sweep(J, K, c, floor)
+    i, w, _ = _forced_sweep(J, K, c.array(), floor)
     return None if i is None else SeedReport(c.offset + i, int(w[i]))
 
 
@@ -272,36 +301,9 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
         raise ValueError(f"config carries J={c.J}, got J={J}")
     validate_capacity(K, "K")
     seed = _resolve_seed(c, t)
-    if seed is None:
-        return _detect_row(J, K, c)[0]
-    return sweep(J, K, c, seed)[0]
-
-
-def _detect_row(J: Capacity, K: Capacity, c: Config) -> Tuple[CarrierPath, Optional[Config]]:
-    """The carrier of a Detect window and its next row, both from the kernel.
-
-    The carrier starts at the forced position (the value left of it is
-    reported unknown) and the next row holds the cells right of it, None
-    when none remain.  If no position is forced the window is consistent
-    with an alternating/degenerate tail and ``Undetermined`` is raised.
-    For J < K = inf the cells pass the same floor checks, the running
-    maximum starts from load r at the window start, the first quarter of
-    the window is discarded as burn-in and the carrier is flagged
-    approximate.
-    """
-    i, w, teta = _forced_sweep(J, K, c, c.boundary.floor)
-    approximate = J < K == INF
-    if approximate:
-        # the canonical load is the all-time running maximum, not readable
-        # from the window; the sweep from the floor starts it at the window
-        i = min(len(c) - 1, int(len(c) * _BURN_IN_FRAC))
-    elif i is None:
-        raise Undetermined(
-            "no forced carrier value in window: consistent with an "
-            "alternating/degenerate tail")
-    path = CarrierPath(c.offset + i, tuple(w[i:].tolist()), None, approximate)
-    cells = tuple(teta[i + 1:].tolist())
-    return path, Config(c.offset + i + 1, cells, c.J, c.boundary) if cells else None
+    i, w, _ = advance_row(J, K, c.array(), seed, c.boundary)
+    return CarrierPath(c.offset + i, tuple(w[:len(c) - i].tolist()), seed,
+                       seed is None and J < K == INF)
 
 
 def essential_boundary(J: Capacity, K: Capacity, c: Config,

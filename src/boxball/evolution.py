@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacities import Capacity, validate_capacity
-from .carrier import CarrierPath, _detect_row, _resolve_seed, sweep
+from .capacities import INF, Capacity, validate_capacity
+from .carrier import CarrierPath, _resolve_seed, advance_row
 from .errors import (
     BoundaryNotReversible,
     InvalidCell,
@@ -31,6 +31,7 @@ from .lattice import (
     BoundaryMode,
     Config,
     Detect,
+    IidInvariant,
     ZeroPad,
     label_balls,
     reverse,
@@ -43,17 +44,6 @@ from .local_rules import check_cell, local_map_array
 # ---------------------------------------------------------------------------
 
 
-def _advance(J: Capacity, K: Capacity, c: Config,
-             seed: Optional[int]) -> Tuple[CarrierPath, Optional[Config]]:
-    """The carrier of row c and the next row.  Seeded rows are swept from
-    ``seed`` (zero-padded ones drained); Detect rows (seed None) keep only
-    the cells right of the forced position, and the next row is None when
-    none remain."""
-    if seed is not None:
-        return sweep(J, K, c, seed, drain=isinstance(c.boundary, ZeroPad))
-    return _detect_row(J, K, c)
-
-
 def step(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Config:
     """One forward evolution of the window.
 
@@ -63,10 +53,11 @@ def step(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Config:
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
-    nxt = _advance(J, K, c, _resolve_seed(c, t))[1]
-    if nxt is None:
+    seed = _resolve_seed(c, t)
+    i, _, nxt = advance_row(J, K, c.array(), seed, c.boundary)
+    if not len(nxt):
         raise Undetermined("window exhausted: no cell right of the forced position")
-    return nxt
+    return Config(c.offset + i + (seed is None), tuple(nxt.tolist()), c.J, c.boundary)
 
 
 def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
@@ -123,42 +114,27 @@ class SpaceTimeBlock:
                    load_rows: Sequence[Tuple[int, Sequence[int]]],
                    left_currents: Sequence[Optional[int]], boundary: BoundaryMode,
                    approximate: bool = False) -> "SpaceTimeBlock":
-        """The block of per-row (first site, values) occupancies and loads."""
+        """The block of per-row (first site, values) occupancies and loads;
+        every value must be an integer."""
         if not occ_rows:
             raise InvalidParams("a block needs at least one time row")
         ends = [(s, s + len(v)) for s, v in (*occ_rows, *load_rows)]
         lo, hi = min(a for a, _ in ends), max(b for _, b in ends)
         grids = []
-        for rows in (occ_rows, load_rows):
+        for rows, what in ((occ_rows, "cells"), (load_rows, "loads")):
             grid = np.zeros((len(rows), hi - lo), dtype=np.int64)
             span = np.array([(s - lo, s - lo + len(v)) for s, v in rows],
                             dtype=np.int64).reshape(-1, 2)
-            for g, (a, b), (_, v) in zip(grid, span, rows):
+            for g, (a, b), (_, v) in zip(grid, span.tolist(), rows):
+                bad = np.asarray(v).dtype.kind not in "iu" and [
+                    x for x in v if not isinstance(x, (int, np.integer))]
+                if bad:
+                    raise InvalidCell(f"{what} must be integers, got {bad[0]!r}")
                 g[a:b] = v
             grids += [grid, span]
         occ, occ_span, load, load_span = grids
         return cls(J, K, lo, occ, load, occ_span, load_span, tuple(left_currents),
                    boundary, approximate)
-
-    @classmethod
-    def from_rows(cls, J: Capacity, K: Capacity,
-                  rows: Sequence[Tuple[Config, CarrierPath]]) -> "SpaceTimeBlock":
-        """The block of (Config, CarrierPath) rows.  The rows must share J,
-        the boundary mode and the approximate flag, and every load must be
-        an integer."""
-        if not rows:
-            raise InvalidParams("a block needs at least one time row")
-        c0, w0 = rows[0]
-        for cfg, w in rows:
-            if (cfg.J, cfg.boundary, w.approximate) != (J, c0.boundary, w0.approximate):
-                raise InvalidParams("block rows must share J, the boundary mode "
-                                    "and the approximate flag")
-            for v in w.values:
-                if not isinstance(v, int):
-                    raise InvalidCell(f"loads must be integers, got {v!r}")
-        return cls.from_spans(J, K, [(cfg.offset, cfg.cells) for cfg, _ in rows],
-                              [(w.offset, w.values) for _, w in rows],
-                              [w.left_seed for _, w in rows], c0.boundary, w0.approximate)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpaceTimeBlock) and all(
@@ -193,35 +169,38 @@ class SpaceTimeBlock:
 def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBlock:
     """Evolve t_max steps recording every row with its carrier.
 
-    Seeds for rows 0..t_max come from the boundary mode.  Zero-padded rows
-    are drained and then padded to a common window; Detect rows shrink from
-    the left as determinacy is lost.
+    Seeds for rows 0..t_max come from the boundary mode; an
+    ``IidInvariant`` block keeps only the currents its rows use.
+    Zero-padded rows are drained and then padded to a common window; Detect
+    rows shrink from the left as determinacy is lost.
     """
     if t_max < 0:
         raise InvalidParams(f"step count must be >= 0, got {t_max}")
-    rows: List[Tuple[Config, CarrierPath]] = []
-    cur = c
+    if J != c.J:
+        raise InvalidParams(f"config carries J={c.J}, got J={J}")
+    occ, load, seeds = [], [], []
+    start, eta = c.offset, c.array()
     for t in range(t_max + 1):
-        w, nxt = _advance(J, K, cur, _resolve_seed(cur, t))
-        if len(w) > len(cur):  # drained past the window end
-            cur = cur.with_cells(cur.offset, cur.cells + (0,) * (len(w) - len(cur)))
-        rows.append((cur, w))
-        if nxt is None and t < t_max:
+        seed = _resolve_seed(c, t)
+        i, w, nxt = advance_row(J, K, eta, seed, c.boundary)
+        if len(w) > len(eta):   # drained past the window end
+            eta = np.concatenate([eta, np.zeros(len(w) - len(eta), dtype=np.int64)])
+        occ.append((start, eta))
+        load.append((start + i, w))
+        seeds.append(seed)
+        if not len(nxt) and t < t_max:
             raise Undetermined("window exhausted during block evolution")
-        cur = nxt
+        start, eta = start + i + (seed is None), nxt
 
-    if isinstance(c.boundary, ZeroPad):
-        # pad all rows (occupancies and loads) to the union window
-        hi = max(cfg.end for cfg, _ in rows)
-        padded = []
-        for cfg, w in rows:
-            k = hi - cfg.end
-            if k:
-                cfg = cfg.with_cells(cfg.offset, cfg.cells + (0,) * k)
-                w = CarrierPath(w.offset, w.values + (0,) * k, w.left_seed)
-            padded.append((cfg, w))
-        rows = padded
-    return SpaceTimeBlock.from_rows(J, K, rows)
+    boundary = c.boundary
+    if isinstance(boundary, ZeroPad):
+        # rows only grow: pad occupancies and loads to the last row's window
+        hi = len(occ[-1][1])
+        occ, load = ([(s, np.pad(v, (0, hi - len(v)))) for s, v in rows] for rows in (occ, load))
+    elif isinstance(boundary, IidInvariant):
+        boundary = IidInvariant(tuple(seeds))
+    return SpaceTimeBlock.from_spans(J, K, occ, load, seeds, boundary,
+                                     seeds[0] is None and J < K == INF)
 
 
 def current_column(b: SpaceTimeBlock, n: int) -> Tuple[Optional[int], ...]:
@@ -340,30 +319,32 @@ def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
         raise TrackedBallAbsent(f"ball {tracked} not present")
     trajectory = [locate(tracked)]
 
+    cells = list(cfg.cells)
     for t in range(t_max):
         seed = _resolve_seed(cfg, t)
         if seed is None:
             raise BoundaryNotReversible("tagged dynamics need a seeded boundary mode")
-        w_path, nxt = _advance(J, K, cfg, seed)
-        if len(nxt) > len(cfg):
-            sites.extend([] for _ in range(len(nxt) - len(cfg)))
-            cfg = cfg.with_cells(cfg.offset, cfg.cells + (0,) * (len(nxt) - len(cfg)))
+        _, w, nxt = advance_row(J, K, np.array(cells, dtype=np.int64), seed, cfg.boundary)
+        w, nxt = w.tolist(), nxt.tolist()
+        sites.extend([] for _ in range(len(nxt) - len(cells)))
+        cells += [0] * (len(nxt) - len(cells))
         # fresh identities for injected balls, ordered within the batch
         queue = list(range(next_low - seed, next_low))
         next_low -= seed
         w_prev = seed
-        for i in range(len(cfg)):
+        for i in range(len(cells)):
             pool = queue + sites[i]
-            keep = nxt.cells[i]
-            assert len(pool) == cfg.cells[i] + w_prev
+            keep = nxt[i]
+            assert len(pool) == cells[i] + w_prev
             sites[i] = pool[:keep]
             queue = pool[keep:]
-            w_prev = w_path.values[i]
+            w_prev = w[i]
         exited.extend(queue)
         if tracked in queue:
             raise WindowExceeded(f"tracked ball {tracked} carried past the window")
-        cfg = nxt
+        cells = nxt
         trajectory.append(locate(tracked))
 
+    cfg = cfg.with_cells(cfg.offset, cells)
     labels = BallLabels(cfg.offset, tuple(tuple(grp) for grp in sites))
     return tuple(trajectory), TaggedState(cfg, labels, tuple(exited))

@@ -17,10 +17,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .capacities import Capacity
-from .carrier import sweep_row
 from .errors import InvalidParams
-from .evolution import SpaceTimeBlock, current_column
-from .lattice import IidInvariant
+from .evolution import SpaceTimeBlock, current_column, evolve_block
+from .lattice import Config, IidInvariant
 from .local_rules import exchange_form, exchange_map
 from .measures import (
     Pmf,
@@ -76,16 +75,9 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
                            "the stationary restriction")
     if L < 1:
         raise InvalidParams("window must be non-empty")
-    eta = sample_pmf(mu, spec.stream("window"), L)
+    eta = tuple(sample_pmf(mu, spec.stream("window"), L).tolist())
     currents = tuple(sample_pmf(nu, spec.stream("currents"), T_max + 1).tolist())
-    occ = np.empty((T_max + 2, L), dtype=np.int64)
-    load = np.empty((T_max + 1, L), dtype=np.int64)
-    occ[0] = eta
-    for t, s in enumerate(currents):    # row t + 1 is one sweep of row t
-        load[t], occ[t + 1] = sweep_row(J, K, occ[t], s)
-    span = np.tile(np.array([0, L], dtype=np.int64), (T_max + 1, 1))
-    block = SpaceTimeBlock(J, K, offset, occ[:-1], load, span, span, currents,
-                           IidInvariant(currents))
+    block = evolve_block(J, K, Config(offset, eta, J, IidInvariant(currents)), T_max)
     meta["dual"] = nu
     return block, meta
 

@@ -12,8 +12,10 @@ from boxball import INF, sample_stationary_block, uniform
 from boxball.blockio import read_block_csv, write_block_csv
 from boxball.carrier import CarrierPath
 from boxball.cli import main
-from boxball.evolution import SpaceTimeBlock, duality_verify, evolve_block
+from boxball.evolution import duality_verify, evolve_block
 from boxball.lattice import Config, Detect, IidInvariant, SeededCarrier, ZeroPad
+
+from block_rows import block_from_rows
 
 
 def run(argv):
@@ -127,7 +129,7 @@ def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
 
 def test_block_rows_read_back_where_their_values_lie(tmp_path, capsys):
     # rows that stop short of row 0's right end keep their offsets
-    block = SpaceTimeBlock.from_rows(2, 3, tuple(
+    block = block_from_rows(2, 3, tuple(
         (Config(o, cells, 2), CarrierPath(o, loads, None)) for o, cells, loads in
         [(1, (1, 2, 0, 1), (1, 3, 0, 1)), (1, (0, 1), (0, 1)), (2, (2, 1), (2, 1))]))
     path = str(tmp_path / "b.csv")
@@ -194,7 +196,9 @@ def test_block_csv_round_trip_object_level(tmp_path):
              (4, 2, Config(1, (2, 2, 2, 2, 3, 0, 4, 4, 3, 1), 4, Detect()), 3),
              # J < K = inf under Detect: every carrier is flagged approximate
              (1, INF, Config(1, (1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0), 1,
-                             Detect()), 3)]
+                             Detect()), 3),
+             # more currents than rows: the block keeps the ones its rows use
+             (2, 3, Config(0, (1, 0, 2), 2, IidInvariant((1, 2, 0, 3))), 2)]
     for J, K, c, steps in cases:
         block = evolve_block(J, K, c, steps)
         write_block_csv(block, str(path))
@@ -234,7 +238,7 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
     detect = evolve_block(3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3)
     stationary = sample_stationary_block(2, 4, uniform(2), 200, 8, 5)[0]
     # rows reaching left of, right of and wholly outside row 0's sites
-    ragged = SpaceTimeBlock.from_rows(2, 3, tuple(
+    ragged = block_from_rows(2, 3, tuple(
         (Config(o, cells, 2), CarrierPath(o + 1, cells, None)) for o, cells in
         [(3, (1, 2, 0)), (1, (0, 1, 2, 2, 1, 0, 1)), (4, (2, 2, 2, 2)), (9, (1,)), (0, (2,))]))
     # multi-digit fields: a J = 12 window and K = inf loads, and a seeded boundary
@@ -243,7 +247,7 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
                                           IidInvariant((13, 0, 41, 7))), 3)
     seeded = evolve_block(3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, SeededCarrier(2)), 4)
     # signed loads out to the int64 range
-    signed = SpaceTimeBlock.from_rows(2, 3, ((Config(0, (1, 0, 2, 1, 0), 2), CarrierPath(
+    signed = block_from_rows(2, 3, ((Config(0, (1, 0, 2, 1, 0), 2), CarrierPath(
         0, (-1, -10, 10**18, 2**63 - 1, -2**63), None)),))
     assert max(wide.config(0).cells) >= 10 and max(heavy.carrier(2).values) >= 10
     assert len(zero.config(6)) > 5 and detect.config(3).offset > 1

@@ -29,9 +29,11 @@ from boxball.errors import (
     Undetermined,
     WindowExceeded,
 )
-from boxball.evolution import DualityReport, SpaceTimeBlock
+from boxball.evolution import DualityReport
 from boxball.lattice import same_occupancies, trim_zeros
 from boxball.local_rules import local_map
+
+from block_rows import block_from_rows
 
 
 def cfg(offset, cells, J, boundary=None):
@@ -178,7 +180,7 @@ def test_duality_verify_detects_corruption():
     bad_cells[2] = 1 - bad_cells[2]
     bad_row = (cfg2.with_cells(cfg2.offset, bad_cells), w2)
     rows = b.rows[:2] + (bad_row,) + b.rows[3:]
-    bad = SpaceTimeBlock.from_rows(b.J, b.K, rows)
+    bad = block_from_rows(b.J, b.K, rows)
     assert duality_verify(bad).violations >= 1
 
 
@@ -206,7 +208,7 @@ def with_row(b, t, cells=None, loads=None):
         cfg0 = cfg0.with_cells(cfg0.offset, cells)
     if loads is not None:
         w0 = CarrierPath(w0.offset, tuple(loads), w0.left_seed, w0.approximate)
-    return SpaceTimeBlock.from_rows(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:])
+    return block_from_rows(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:])
 
 
 DUAL_CAPS = [1, 2, 3, 5, INF]
@@ -263,9 +265,10 @@ def test_duality_verify_rejects_invalid_loads():
     loads[1] = -1
     with pytest.raises(InvalidCell):
         duality_verify(with_row(binf, 0, loads=loads))
-    loads[1] = 1.0
-    with pytest.raises(InvalidCell, match="must be integers"):
-        duality_verify(with_row(binf, 0, loads=loads))
+    for v in (1.0, 1.7, "1"):
+        loads[1] = v
+        with pytest.raises(InvalidCell, match="must be integers"):
+            duality_verify(with_row(binf, 0, loads=loads))
 
 
 def test_intertwining_column_shift():

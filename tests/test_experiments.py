@@ -7,10 +7,13 @@ from scipy import stats
 
 from boxball import (
     Config,
+    Detect,
     IidInvariant,
     INF,
     Pmf,
     RngSpec,
+    SeededCarrier,
+    ZeroPad,
     bernoulli,
     classify_invariant,
     current_iid_test,
@@ -27,7 +30,7 @@ from boxball import (
 )
 from boxball import experiments
 from boxball.capacities import is_finite
-from boxball.errors import InvalidParams
+from boxball.errors import InvalidParams, Undetermined
 from boxball.local_rules import exchange_form, exchange_map, local_map, local_map_array
 from boxball.measures import sample_pmf
 
@@ -58,9 +61,85 @@ def test_sampler_row_density_and_reproducibility():
     assert block2.rows[20][0] == block.rows[20][0]
 
 
+def fold_row(J, K, cells, seed):
+    """One row by the scalar local map: (loads, next cells)."""
+    w, loads, out = seed, [], []
+    for v in cells:
+        v2, w = local_map(J, K, (v, w))
+        out.append(v2)
+        loads.append(w)
+    return loads, out
+
+
+def fold_block(J, K, c, t_max):
+    """The block of c by the scalar local map, row after row: per row
+    (first site, cells, first load site, loads, entering load), or None when
+    a Detect row is undetermined.  A Detect row starts at the first site
+    where every entering load of the floor band gives one load, or for
+    J < K = inf after the window's first quarter, folded from the floor.
+    Zero-padded rows drain past the window end and are padded to the
+    union window."""
+    b, rows = c.boundary, []
+    start, cells = c.offset, list(c.cells)
+    for t in range(t_max + 1):
+        if not cells:
+            return None
+        if isinstance(b, Detect):
+            burn_in = J < K == INF
+            band = [b.floor] if burn_in else range(b.floor, K - b.floor + 1)
+            folds = [fold_row(J, K, cells, s) for s in band]
+            if burn_in:
+                i = len(cells) // 4
+            else:
+                i = next((k for k in range(len(cells))
+                          if len({loads[k] for loads, _ in folds}) == 1), None)
+                if i is None:
+                    return None
+            loads, out = folds[0]
+            rows.append((start, cells, start + i, loads[i:], None))
+            start, cells = start + i + 1, out[i + 1:]
+            continue
+        seed = (0 if isinstance(b, ZeroPad) else b.seed if isinstance(b, SeededCarrier)
+                else b.currents[t])
+        loads, out = fold_row(J, K, cells, seed)
+        while isinstance(b, ZeroPad) and loads[-1] > 0:
+            cells = cells + [0]
+            v2, w = local_map(J, K, (0, loads[-1]))
+            loads, out = loads + [w], out + [v2]
+        rows.append((start, cells, start, loads, seed))
+        cells = out
+    if isinstance(b, ZeroPad):
+        hi = max(len(r[1]) for r in rows)
+        rows = [(s, v + [0] * (hi - len(v)), s, w + [0] * (hi - len(w)), seed)
+                for s, v, _, w, seed in rows]
+    return rows
+
+
+def assert_block_is_fold(block, J, K, c, rows):
+    """Arrays, spans, offset, currents, boundary and flag against fold_block."""
+    lo = min(min(r[0], r[2]) for r in rows)
+    hi = max(max(r[0] + len(r[1]), r[2] + len(r[3])) for r in rows)
+    occ, load = np.zeros((2, len(rows), hi - lo), dtype=np.int64)
+    for t, (s, v, sw, w, _) in enumerate(rows):
+        occ[t, s - lo:s - lo + len(v)] = v
+        load[t, sw - lo:sw - lo + len(w)] = w
+    assert block.offset == lo
+    assert np.array_equal(block.occ, occ) and np.array_equal(block.load, load)
+    assert block.occ_span.tolist() == [[s - lo, s - lo + len(v)] for s, v, *_ in rows]
+    assert block.load_span.tolist() == [[sw - lo, sw - lo + len(w)]
+                                        for _, _, sw, w, _ in rows]
+    seeds = tuple(r[4] for r in rows)
+    assert block.left_currents == seeds
+    trimmed = IidInvariant(seeds) if isinstance(c.boundary, IidInvariant) else c.boundary
+    assert block.boundary == trimmed
+    assert block.approximate == (isinstance(c.boundary, Detect) and J < K == INF)
+
+
 def test_sampler_equals_row_by_row_evolution():
-    # the array fill against evolve_block's per-row path on the same draws
+    # the sampler and evolve_block against the scalar local map, row by row
     caps = [1, 2, 3, 5, INF]
+    rng = np.random.default_rng(29)
+    drained = shrunk = undetermined = 0
     for J in caps:
         for K in caps:
             if J == K == INF:
@@ -71,13 +150,32 @@ def test_sampler_equals_row_by_row_evolution():
             spec = RngSpec(11)
             eta = tuple(sample_pmf(mu, spec.stream("window"), 40).tolist())
             currents = tuple(sample_pmf(meta["dual"], spec.stream("currents"), 7).tolist())
-            ref = evolve_block(J, K, Config(1, eta, J, IidInvariant(currents)), 6)
-            assert block == ref and ref == block and hash(block) == hash(ref)
-            assert block.rows == ref.rows
-            assert block.left_currents == ref.left_currents == currents
-            for t in range(7):
-                assert block.config(t) == ref.config(t)
-                assert block.carrier(t) == ref.carrier(t)
+            c = Config(1, eta, J, IidInvariant(currents))
+            assert_block_is_fold(block, J, K, c, fold_block(J, K, c, 6))
+
+            top = 6 if J == INF else J
+            seeds = range(min(K, 4) + 1)
+            # more currents than rows, of which the block keeps the first six
+            currents = tuple(rng.choice(seeds, 8).tolist())
+            for boundary in [ZeroPad(), ZeroPad(), SeededCarrier(int(rng.choice(seeds))),
+                             IidInvariant(currents), Detect(0), Detect(0), Detect(1)]:
+                r = boundary.floor if isinstance(boundary, Detect) else 0
+                if min(J, K) <= 2 * r:
+                    continue
+                n = 24 if isinstance(boundary, Detect) else 8
+                cells = tuple(int(v) for v in rng.integers(r, top - r + 1, n))
+                c = Config(-2, cells, J, boundary)
+                steps = 3 if isinstance(boundary, Detect) else 5
+                rows = fold_block(J, K, c, steps)
+                if rows is None:
+                    undetermined += 1
+                    with pytest.raises(Undetermined):
+                        evolve_block(J, K, c, steps)
+                    continue
+                assert_block_is_fold(evolve_block(J, K, c, steps), J, K, c, rows)
+                drained += len(rows[-1][1]) > n
+                shrunk += rows[-1][0] > c.offset
+    assert drained and shrunk and undetermined
 
 
 def test_sampler_j_equals_k_shifts_with_insertions():
