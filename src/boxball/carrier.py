@@ -127,6 +127,7 @@ def advance_row(J: Capacity, K: Capacity, eta: np.ndarray, seed: Optional[int],
                 "no forced carrier value in window: consistent with an "
                 "alternating/degenerate tail")
         return i, w[i:], teta[i + 1:]
+    validate_capacity(K, "K")
     if not (0 <= seed <= K):
         raise InvalidCell(f"seed {seed} outside [0, {K}]")
     w, teta = sweep_row(J, K, eta, seed)
@@ -299,7 +300,6 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
-    validate_capacity(K, "K")
     seed = _resolve_seed(c, t)
     i, w, _ = advance_row(J, K, c.array(), seed, c.boundary)
     return CarrierPath(c.offset + i, tuple(w[:len(c) - i].tolist()), seed,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -233,18 +233,36 @@ def w_chain(J: Capacity, K: Capacity, mu: Pmf,
 def _closed_class(kernel: np.ndarray, start: int) -> np.ndarray:
     """Mask of the closed communicating class that the chain started at
     start ends in; start itself may be transient."""
-    from scipy.sparse import csgraph, csr_matrix     # on first use, not at import
-    graph = csr_matrix(kernel > 0, dtype=float)   # csgraph's own dtype: no copies
-    labels = csgraph.connected_components(graph, connection="strong")[1]
+    n = len(kernel)
+    succ: List[List[int]] = [[] for _ in range(n)]
+    pred: List[List[int]] = [[] for _ in range(n)]
+    for a, b in zip(*(ix.tolist() for ix in np.nonzero(kernel > 0))):
+        succ[a].append(b)
+        pred[b].append(a)
     while True:
-        fwd = np.zeros(len(kernel), dtype=bool)
-        fwd[csgraph.breadth_first_order(graph, start, return_predecessors=False)] = True
-        # reached from start but outside its strong component: cannot lead back
-        escaped = fwd & (labels != labels[start])
-        if not escaped.any():
-            return fwd
+        fwd = _reachable(succ, start)
+        # reached from start but unable to lead back to it
+        escaped = fwd - _reachable(pred, start)
+        if not escaped:
+            mask = np.zeros(n, dtype=bool)
+            mask[list(fwd)] = True
+            return mask
         # a state that cannot lead back reaches strictly fewer states
-        start = int(np.argmax(escaped))
+        start = min(escaped)
+
+
+def _reachable(adj: List[List[int]], start: int) -> Set[int]:
+    """States reachable from start along the adjacency lists adj, by
+    depth-first search on plain lists: the K = inf load chains are long
+    paths, one array step per state would cost more than the search."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for b in adj[stack.pop()]:
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
 
 
 def _stationary_on_class(kernel: np.ndarray, start: int) -> np.ndarray:

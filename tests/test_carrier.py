@@ -17,11 +17,18 @@ from boxball import (
     local_map,
     path_encode,
     pitman_M,
+    step,
     sweep,
     sweep_row,
     verify_carrier,
 )
-from boxball.errors import FloorTooLarge, InvalidCell, ParityViolation, Undetermined
+from boxball.errors import (
+    FloorTooLarge,
+    InvalidCell,
+    InvalidParams,
+    ParityViolation,
+    Undetermined,
+)
 
 
 def cfg(offset, cells, J, boundary=None):
@@ -333,6 +340,18 @@ def test_canonical_supplied_seed():
     c = cfg(0, (1, 0, 1), 1, IidInvariant((1, 0)))
     assert canonical_carrier(1, 2, c).left_seed == 1
     assert canonical_carrier(1, 2, c, t=1).left_seed == 0
+
+
+def test_seeded_rows_validate_K():
+    # a K that is neither a positive integer nor inf is a parameter error,
+    # not a seed outside [0, K] or a row with all-zero loads
+    for boundary in (None, SeededCarrier(1), IidInvariant((1, 0))):
+        c = cfg(0, (1, 0, 2), 2, boundary)
+        for K in (0, -1, 2.5, True):
+            for call in (lambda: evolve_block(2, K, c, 2), lambda: step(2, K, c),
+                         lambda: sweep(2, K, c, 0), lambda: canonical_carrier(2, K, c)):
+                with pytest.raises(InvalidParams, match="K must be"):
+                    call()
 
 
 def test_canonical_undetermined():

@@ -298,14 +298,21 @@ def test_non_finite_weights_exit_3(capsys):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported on first use; a bare ``bbs`` start must not pay for it
+    # scipy is imported on first use, by the chi-square tests alone: neither
+    # a bare ``bbs`` start nor the load-chain solve behind the measure
+    # commands may pay for it
     src = os.path.dirname(os.path.dirname(boxball.__file__))
-    code = ("import sys, boxball, boxball.cli; print(' '.join(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.sparse', 'scipy.special'))))")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == ""
+    solve = ("boxball.dual_measure(3, 5, boxball.stbgeo(3, 0.5, 1, 1)); "
+             "codes = [boxball.cli.main(['measure', a, '--J', '3', '--K', '5', "
+             "'--mu', 'uniform:3']) for a in ('dual-measure', 'classify')]; "
+             "assert codes == [0, 0], codes; ")
+    for work in ("", solve):
+        code = ("import sys, boxball, boxball.cli; " + work +
+                "print('scipy:', *(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.splitlines()[-1] == "scipy:", out
 
 
 def test_measure_dual_and_balance(capsys):

@@ -41,3 +41,36 @@ def test_unused_import_check_sees_names():
     src = ("from typing import Optional, Tuple\nimport numpy as np\n"
            "def f(x) -> 'Tuple[int, ...]':\n    return np.asarray(x)\n")
     assert unused_imports(src) == [(1, "Optional")]
+
+
+def scipy_imports(source: str):
+    """(innermost enclosing function or None, line) for each scipy import."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_scipy_imported_only_by_chi2_sf():
+    # the chi-square tail is scipy's one caller; a start or a load-chain
+    # solve imports no scipy module
+    assert scipy_imports("import scipy.sparse\nclass A:\n    def f(self):\n"
+                         "        from scipy import special\n") == [(None, 1), ("f", 4)]
+    found = [f"{p.stem}.{func}" for p in sorted(SRC.glob("*.py"))
+             for func, _ in scipy_imports(p.read_text())]
+    assert found == ["experiments._chi2_sf"]

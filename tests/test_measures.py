@@ -179,42 +179,45 @@ def test_dual_measure_examples():
     assert dual_measure(1, 5, Pmf((0.0, 1.0))).weights == (0.0,) * 5 + (1.0,)
 
 
-def ref_reachable(adj, start):
-    """Depth-first mask of the states reachable from start along adj."""
-    reach = np.zeros(adj.shape[0], dtype=bool)
-    stack = [start]
-    reach[start] = True
-    while stack:
-        a = stack.pop()
-        for b in np.nonzero(adj[a])[0]:
-            if not reach[b]:
-                reach[b] = True
-                stack.append(int(b))
+def ref_reach(adj):
+    """Warshall transitive closure: [a, b] is True when b is reachable
+    from a in zero or more steps along adj."""
+    reach = adj | np.eye(adj.shape[0], dtype=bool)
+    for k in range(adj.shape[0]):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
     return reach
 
 
-def ref_closed_class(kernel, start):
-    adj = kernel > 0
+def ref_closed_class(reach, start):
+    """The closed class that the selection rule picks, read from the
+    closure ``reach``."""
     while True:
-        fwd = ref_reachable(adj, start)
-        escaped = fwd & ~ref_reachable(adj.T, start)
+        escaped = reach[start] & ~reach[:, start]
         if not escaped.any():
-            return fwd
+            return reach[start]
         start = int(np.argmax(escaped))
 
 
-def test_closed_class_matches_depth_first_search():
+def test_closed_class_matches_transitive_closure():
     rng = np.random.default_rng(11)
     several = transient = 0
     for _ in range(120):
-        n = int(rng.integers(1, 16))
-        kernel = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.05, 0.3))
+        n = int(rng.integers(1, 61))
+        kernel = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.01, 0.3))
+        for s in np.flatnonzero(rng.random(n) < 0.1):   # a self-loop only
+            kernel[s] = 0.0
+            kernel[s, s] = 1.0
+        reach = ref_reach(kernel > 0)
         classes = set()
         for start in range(n):
-            want = ref_closed_class(kernel, start)
-            assert np.array_equal(_closed_class(kernel, start), want), (kernel, start)
-            classes.add(want.tobytes())
-            transient += not want[start]
+            got = _closed_class(kernel, start)
+            assert np.array_equal(got, ref_closed_class(reach, start)), (kernel, start)
+            assert not kernel[np.ix_(got, ~got)].any()   # closed
+            # strongly connected: paths from a closed class stay inside it
+            assert reach[np.ix_(got, got)].all()
+            assert reach[start, got].all()               # reached from start
+            classes.add(got.tobytes())
+            transient += not got[start]
         several += len(classes) > 1
     assert several > 50 and transient > 300
 
