@@ -6,12 +6,11 @@ boundary currents.  All values are decimal integers; a blank entry is a site
 outside the row's window or an undetermined current.  A row's values are
 contiguous, so a blank between two values is an error.  The floor of a
 Detect boundary is not stored, so a block whose currents are all blank reads
-back with ``Detect()`` (floor 0); for J < K = inf its carriers read back
-flagged approximate, as ``canonical_carrier`` flags every such carrier.  A
-ZeroPad block heads its currents ``t,zero`` and reads back as ``ZeroPad()``;
-any other block heads them ``t,current`` and reads back as ``IidInvariant``
-with its per-row currents, so a ``SeededCarrier`` block reads back with
-equal rows but an ``IidInvariant`` boundary.
+back with ``Detect()`` (floor 0), whatever its capacities.  A ZeroPad block
+heads its currents ``t,zero`` and reads back as ``ZeroPad()``; any other
+block heads them ``t,current`` and reads back as ``IidInvariant`` with its
+per-row currents, so a ``SeededCarrier`` block reads back with equal rows
+but an ``IidInvariant`` boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .capacities import INF, Capacity
+from .capacities import Capacity
 from .errors import InvalidParams
 from .evolution import SpaceTimeBlock
 from .lattice import Detect, IidInvariant, ZeroPad
@@ -149,6 +148,4 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         raise InvalidParams(f"{currents_path}: blank and numeric currents mixed")
     else:
         boundary = IidInvariant(currents)
-    # canonical_carrier flags exactly these carriers as burn-in estimates
-    approx = isinstance(boundary, Detect) and J < K == INF
-    return SpaceTimeBlock.from_spans(J, K, occ, car, currents, boundary, approx)
+    return SpaceTimeBlock.from_spans(J, K, occ, car, currents, boundary)

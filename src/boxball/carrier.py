@@ -5,8 +5,10 @@ every regime one site's update is a monotone clamp map of the entering
 load.  One kernel, ``sweep_row``, composes these maps by a prefix scan;
 every carrier of the package comes from it.  Seed detection sweeps from the
 two ends of the admissible load band and forces the load where the sweeps
-meet; the reflected-path transform for J < K is kept as the paper's view of
-the same carrier.
+meet.  For J < K = inf the band is unbounded and the carrier is a running
+maximum over the whole past, so no window forces it and a Detect row is
+``Undetermined``.  The reflected-path transform for J < K is kept as the
+paper's view of the same carrier.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ from .lattice import (
 )
 from .local_rules import local_map
 
-# share of a J < K = inf Detect window discarded as running-maximum burn-in
-_BURN_IN_FRAC = 0.25
-
 
 # ---------------------------------------------------------------------------
 # carrier paths
@@ -39,16 +38,11 @@ _BURN_IN_FRAC = 0.25
 
 @dataclass(frozen=True)
 class CarrierPath:
-    """Loads W_n for consecutive sites; left_seed is W at offset-1 when known.
-
-    ``approximate`` marks burn-in results for J < K = infinity under Detect
-    mode; exact work uses a supplied-seed mode instead.
-    """
+    """Loads W_n for consecutive sites; left_seed is W at offset-1 when known."""
 
     offset: int
     values: Tuple[int, ...]
     left_seed: Optional[int]
-    approximate: bool = False
 
     def __len__(self) -> int:
         return len(self.values)
@@ -112,20 +106,17 @@ def advance_row(J: Capacity, K: Capacity, eta: np.ndarray, seed: Optional[int],
     ``ZeroPad`` it drains over empty cells past the window end, so W and
     T eta may be longer than the window.  A Detect row (``seed`` None)
     starts at the forced index of ``detect_seed`` and raises
-    ``Undetermined`` when there is none.  For J < K = inf it is swept from
-    the floor (the cells pass the same floor checks) and the first quarter
-    of the window is discarded as burn-in: those carriers are approximate.
+    ``Undetermined`` when there is none, always for J < K = inf (after the
+    floor and cell checks).
     """
     if seed is None:
         i, w, teta = _forced_sweep(J, K, eta, boundary.floor)
-        if J < K == INF:
-            # the canonical load is the all-time running maximum, not readable
-            # from the window; the sweep from the floor starts it at the window
-            i = min(len(eta) - 1, int(len(eta) * _BURN_IN_FRAC))
-        elif i is None:
-            raise Undetermined(
-                "no forced carrier value in window: consistent with an "
-                "alternating/degenerate tail")
+        if i is None:
+            why = ("for J < K = inf the carrier is a running maximum over the "
+                   "unbounded past; exact rows need --boundary iid --currents ... "
+                   "(drawn from the dual measure) or --carrier-seed"
+                   if J < K == INF else "consistent with an alternating/degenerate tail")
+            raise Undetermined(f"no forced carrier value in window: {why}")
         return i, w[i:], teta[i + 1:]
     validate_capacity(K, "K")
     if not (0 <= seed <= K):
@@ -295,15 +286,14 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     boundary mode.
 
     Seeded modes sweep from the supplied load.  Detect mode starts the
-    restriction at the first forced position (``detect_seed``), or for
-    J < K = inf returns a burn-in estimate flagged approximate.
+    restriction at the first forced position (``detect_seed``) and raises
+    ``Undetermined`` when there is none, always for J < K = inf.
     """
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
     seed = _resolve_seed(c, t)
     i, w, _ = advance_row(J, K, c.array(), seed, c.boundary)
-    return CarrierPath(c.offset + i, tuple(w[:len(c) - i].tolist()), seed,
-                       seed is None and J < K == INF)
+    return CarrierPath(c.offset + i, tuple(w[:len(c) - i].tolist()), seed)
 
 
 def essential_boundary(J: Capacity, K: Capacity, c: Config,

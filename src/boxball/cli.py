@@ -68,9 +68,6 @@ def cmd_evolve(args) -> int:
     boundary = _boundary_from_args(args, K)
     cfg = config_from_text(args.config, J, boundary)
     block = evolve_block(J, K, cfg, args.steps)
-    if block.approximate:
-        print("warning: carrier rows are approximate (J < K = inf under detect "
-              "starts a running maximum after a burn-in)", file=sys.stderr)
     paths = write_block_csv(block, args.out)
     print(f"wrote {paths[0]} {paths[1]} {paths[2]} "
           f"(J={capacity_str(J)} K={capacity_str(K)} steps={args.steps})")

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capacities import INF, Capacity, validate_capacity
+from .capacities import Capacity, validate_capacity
 from .carrier import CarrierPath, _resolve_seed, advance_row
 from .errors import (
     BoundaryNotReversible,
@@ -83,8 +83,7 @@ class SpaceTimeBlock:
     ``load_span[t]`` (half-open [lo, hi)); every other entry is 0, and the
     columns are the union of the rows' sites.  ``left_currents[t]`` is the
     load entering row t (None under Detect).  Every row shares the boundary
-    mode and the approximate flag; ``config(t)``, ``carrier(t)`` and
-    ``rows`` are views."""
+    mode; ``config(t)``, ``carrier(t)`` and ``rows`` are views."""
 
     J: Capacity
     K: Capacity
@@ -95,7 +94,6 @@ class SpaceTimeBlock:
     load_span: np.ndarray
     left_currents: Tuple[Optional[int], ...]
     boundary: BoundaryMode
-    approximate: bool = False
 
     def __post_init__(self):
         validate_capacity(self.J, "J")
@@ -112,8 +110,8 @@ class SpaceTimeBlock:
     def from_spans(cls, J: Capacity, K: Capacity,
                    occ_rows: Sequence[Tuple[int, Sequence[int]]],
                    load_rows: Sequence[Tuple[int, Sequence[int]]],
-                   left_currents: Sequence[Optional[int]], boundary: BoundaryMode,
-                   approximate: bool = False) -> "SpaceTimeBlock":
+                   left_currents: Sequence[Optional[int]],
+                   boundary: BoundaryMode) -> "SpaceTimeBlock":
         """The block of per-row (first site, values) occupancies and loads;
         every value must be an integer."""
         if not occ_rows:
@@ -133,8 +131,7 @@ class SpaceTimeBlock:
                 g[a:b] = v
             grids += [grid, span]
         occ, occ_span, load, load_span = grids
-        return cls(J, K, lo, occ, load, occ_span, load_span, tuple(left_currents),
-                   boundary, approximate)
+        return cls(J, K, lo, occ, load, occ_span, load_span, tuple(left_currents), boundary)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SpaceTimeBlock) and all(
@@ -143,8 +140,7 @@ class SpaceTimeBlock:
                          for f in fields(self)))
 
     def __hash__(self) -> int:
-        return hash((self.J, self.K, self.offset, self.left_currents, self.boundary,
-                     self.approximate))
+        return hash((self.J, self.K, self.offset, self.left_currents, self.boundary))
 
     @property
     def t_max(self) -> int:
@@ -158,7 +154,7 @@ class SpaceTimeBlock:
     def carrier(self, t: int) -> CarrierPath:
         lo, hi = self.load_span[t].tolist()
         return CarrierPath(self.offset + lo, tuple(self.load[t, lo:hi].tolist()),
-                           self.left_currents[t], self.approximate)
+                           self.left_currents[t])
 
     @cached_property
     def rows(self) -> Tuple[Tuple[Config, CarrierPath], ...]:
@@ -199,8 +195,7 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBl
         occ, load = ([(s, np.pad(v, (0, hi - len(v)))) for s, v in rows] for rows in (occ, load))
     elif isinstance(boundary, IidInvariant):
         boundary = IidInvariant(tuple(seeds))
-    return SpaceTimeBlock.from_spans(J, K, occ, load, seeds, boundary,
-                                     seeds[0] is None and J < K == INF)
+    return SpaceTimeBlock.from_spans(J, K, occ, load, seeds, boundary)
 
 
 def current_column(b: SpaceTimeBlock, n: int) -> Tuple[Optional[int], ...]:

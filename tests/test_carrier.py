@@ -14,6 +14,7 @@ from boxball import (
     detect_seed,
     essential_boundary,
     evolve_block,
+    inverse_step,
     local_map,
     path_encode,
     pitman_M,
@@ -360,11 +361,15 @@ def test_canonical_undetermined():
         canonical_carrier(2, 4, c)
 
 
-def test_canonical_running_max_approximate():
-    c = cfg(0, (1, 0, 1, 0, 1, 0, 0, 1), 1, Detect(0))
-    w = canonical_carrier(1, INF, c)
-    assert w.approximate
-    assert w.offset == c.offset + 2  # default burn-in: first quarter
+def test_canonical_running_max_undetermined():
+    # J < K = inf: the carrier is a running maximum over the unbounded past,
+    # so no Detect window forces it, however long
+    for J, cells in [(1, (1, 0, 1, 0, 1, 0, 0, 1) * 8), (3, (3, 0, 2, 3, 1, 0, 3, 2) * 8)]:
+        c = cfg(0, cells, J, Detect(0))
+        for call in (lambda: canonical_carrier(J, INF, c), lambda: step(J, INF, c),
+                     lambda: inverse_step(J, INF, c), lambda: evolve_block(J, INF, c, 1)):
+            with pytest.raises(Undetermined, match="running maximum over the unbounded past"):
+                call()
 
 
 def test_essential_boundary():

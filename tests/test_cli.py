@@ -72,12 +72,15 @@ def test_evolve_undetermined_detect_is_domain_error(tmp_path):
     assert code == 3
 
 
-def test_evolve_warns_on_approximate_rows(tmp_path, capsys):
-    argv = ["evolve", "--J", "1", "--K", "inf", "--config", "0:1,0,1,0,1,0,0,1",
-            "--steps", "1", "--out", str(tmp_path / "x.csv")]
-    assert run(argv + ["--boundary", "detect"]) == 0
-    assert "approximate" in capsys.readouterr().err
-    assert run(argv + ["--boundary", "zero"]) == 0
+def test_running_max_detect_is_domain_error(tmp_path, capsys):
+    # J < K = inf: no Detect window forces the carrier, so no block is written
+    out = tmp_path / "x.csv"
+    window = ["--J", "1", "--K", "inf", "--config", "0:1,0,1,0,1,0,0,1", "--steps", "1"]
+    for cmd in (["evolve", *window, "--out", str(out)], ["dual", *window]):
+        assert run(cmd + ["--boundary", "detect"]) == 3
+        assert "--carrier-seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert run(["evolve", *window, "--out", str(out), "--boundary", "zero"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -194,9 +197,9 @@ def test_block_csv_round_trip_object_level(tmp_path):
              # Detect rows shrink from the left; their currents are blank
              (3, 5, Config(1, (0, 3, 3, 3, 2, 0, 1, 2, 3, 1), 3, Detect()), 3),
              (4, 2, Config(1, (2, 2, 2, 2, 3, 0, 4, 4, 3, 1), 4, Detect()), 3),
-             # J < K = inf under Detect: every carrier is flagged approximate
+             # J < K = inf, exact from its currents
              (1, INF, Config(1, (1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0), 1,
-                             Detect()), 3),
+                             IidInvariant((2, 0, 5, 1))), 3),
              # more currents than rows: the block keeps the ones its rows use
              (2, 3, Config(0, (1, 0, 2), 2, IidInvariant((1, 2, 0, 3))), 2)]
     for J, K, c, steps in cases:
@@ -211,6 +214,19 @@ def test_block_csv_round_trip_object_level(tmp_path):
         if isinstance(c.boundary, Detect):
             assert block.config(steps).offset > c.offset
         assert back == block
+    # a hand-written (1, inf) block with blank currents reads back as a plain
+    # Detect() block, though evolve_block cannot make one, and still verifies
+    path = tmp_path / "old.csv"
+    path.write_text("t,n1,n2,n3,n4,n5,n6,n7,n8,n9,n10\n0,1,0,1,0,1,0,0,1,1,0\n"
+                    "1,,,,1,0,1,0,0,0,1\n2,,,,,,0,1,0,0,0\n")
+    (tmp_path / "old.carrier.csv").write_text(
+        "t,n3,n4,n5,n6,n7,n8,n9,n10\n0,1,0,1,0,0,1,2,1\n1,,,0,1,0,0,0,1\n2,,,,,1,0,0,0\n")
+    (tmp_path / "old.currents.csv").write_text("t,current\n0,\n1,\n2,\n")
+    block = read_block_csv(str(path), 1, INF)
+    assert block.boundary == Detect() and block.left_currents == (None, None, None)
+    assert block.carrier(0) == CarrierPath(3, (1, 0, 1, 0, 0, 1, 2, 1), None)
+    assert block.config(2) == Config(6, (0, 1, 0, 0, 0), 1, Detect())
+    assert run(["dual", "--J", "1", "--K", "inf", "--in", str(path)]) == 0
 
 
 def reference_block_csv(block, path):

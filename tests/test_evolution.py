@@ -207,7 +207,7 @@ def with_row(b, t, cells=None, loads=None):
     if cells is not None:
         cfg0 = cfg0.with_cells(cfg0.offset, cells)
     if loads is not None:
-        w0 = CarrierPath(w0.offset, tuple(loads), w0.left_seed, w0.approximate)
+        w0 = CarrierPath(w0.offset, tuple(loads), w0.left_seed)
     return block_from_rows(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:])
 
 

@@ -75,26 +75,22 @@ def fold_block(J, K, c, t_max):
     """The block of c by the scalar local map, row after row: per row
     (first site, cells, first load site, loads, entering load), or None when
     a Detect row is undetermined.  A Detect row starts at the first site
-    where every entering load of the floor band gives one load, or for
-    J < K = inf after the window's first quarter, folded from the floor.
-    Zero-padded rows drain past the window end and are padded to the
-    union window."""
+    where every entering load of the floor band gives one load; for
+    J < K = inf the band is unbounded and no site is forced.  Zero-padded
+    rows drain past the window end and are padded to the union window."""
     b, rows = c.boundary, []
     start, cells = c.offset, list(c.cells)
     for t in range(t_max + 1):
         if not cells:
             return None
         if isinstance(b, Detect):
-            burn_in = J < K == INF
-            band = [b.floor] if burn_in else range(b.floor, K - b.floor + 1)
-            folds = [fold_row(J, K, cells, s) for s in band]
-            if burn_in:
-                i = len(cells) // 4
-            else:
-                i = next((k for k in range(len(cells))
-                          if len({loads[k] for loads, _ in folds}) == 1), None)
-                if i is None:
-                    return None
+            if J < K == INF:
+                return None
+            folds = [fold_row(J, K, cells, s) for s in range(b.floor, K - b.floor + 1)]
+            i = next((k for k in range(len(cells))
+                      if len({loads[k] for loads, _ in folds}) == 1), None)
+            if i is None:
+                return None
             loads, out = folds[0]
             rows.append((start, cells, start + i, loads[i:], None))
             start, cells = start + i + 1, out[i + 1:]
@@ -116,7 +112,7 @@ def fold_block(J, K, c, t_max):
 
 
 def assert_block_is_fold(block, J, K, c, rows):
-    """Arrays, spans, offset, currents, boundary and flag against fold_block."""
+    """Arrays, spans, offset, currents and boundary against fold_block."""
     lo = min(min(r[0], r[2]) for r in rows)
     hi = max(max(r[0] + len(r[1]), r[2] + len(r[3])) for r in rows)
     occ, load = np.zeros((2, len(rows), hi - lo), dtype=np.int64)
@@ -132,7 +128,6 @@ def assert_block_is_fold(block, J, K, c, rows):
     assert block.left_currents == seeds
     trimmed = IidInvariant(seeds) if isinstance(c.boundary, IidInvariant) else c.boundary
     assert block.boundary == trimmed
-    assert block.approximate == (isinstance(c.boundary, Detect) and J < K == INF)
 
 
 def test_sampler_equals_row_by_row_evolution():
