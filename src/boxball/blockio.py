@@ -16,6 +16,7 @@ but an ``IidInvariant`` boundary.
 from __future__ import annotations
 
 import csv
+from itertools import accumulate
 from typing import List, Tuple
 
 import numpy as np
@@ -26,7 +27,6 @@ from .evolution import SpaceTimeBlock
 from .lattice import Detect, IidInvariant, ZeroPad
 
 _INT64 = np.iinfo(np.int64)
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def _sibling(path: str, tag: str) -> str:
@@ -35,31 +35,46 @@ def _sibling(path: str, tag: str) -> str:
     return path + f".{tag}.csv"
 
 
-def _fields(vals: np.ndarray) -> bytes:
-    """``,v0,v1,...`` for an int64 array, one decimal digit at a time."""
-    if not len(vals):
-        return b""
-    mag, neg = np.abs(vals).view(np.uint64), vals < 0    # |int64 min| wraps to 2**63
-    nd = 1 + np.searchsorted(_POW10, mag, side="right")     # digits of each |v|
-    end = np.cumsum(nd + neg + 1)
-    out = np.full(end[-1], ord("-"), dtype=np.uint8)
-    out[end - nd - neg - 1] = ord(",")
-    for k in range(nd.max()):
-        has = nd > k
-        out[end[has] - k - 1] = mag[has] // 10 ** k % 10 + ord("0")
-    return out.tobytes()
+def _fields(vals: np.ndarray, prefix: bytes) -> np.ndarray:
+    """Each value of an int64 array as ``prefix`` and its decimal digits,
+    right-aligned in a fixed-width slot of bytes: shape vals.shape + (slot,),
+    with 0 in the bytes left of the value."""
+    neg = vals < 0
+    signed = bool(neg.any())
+    p = np.abs(vals).view(np.uint64) if signed else vals   # |int64 min| wraps to 2**63
+    top = int(p.max(initial=0))
+    n = len(prefix)
+    S = n + signed + len(str(top))
+    out = np.zeros(vals.shape + (S,), dtype=np.uint8)
+    out[..., :n] = np.frombuffer(prefix, dtype=np.uint8)
+    p = p.astype(np.min_scalar_type(top))
+    # live: the value has a digit in this byte, was: in the byte to its right
+    was = live = np.ones(vals.shape, dtype=bool)
+    for c in range(S - 1, n - 1, -1):          # digits from the right, then '-'
+        q = p // 10
+        out[..., c] = (p - 10 * q + ord("0")) * live
+        if signed:
+            out[..., c][neg & was & ~live] = ord("-")
+        p, was, live = q, live, q != 0
+    return out
 
 
 def _write_grid(path: str, offset: int, grid: np.ndarray, span: np.ndarray) -> None:
     """One line per row over row 0's sites: the row's values where it
-    stores them, blank elsewhere (the bytes of ``csv.writer``)."""
+    stores them, blank elsewhere (the bytes of ``csv.writer``), built as one
+    byte matrix whose 0 bytes are dropped."""
     s0, e0 = span[0].tolist()
+    T = len(grid)
+    head = _fields(np.arange(offset + s0, offset + e0)[None], b",n")
+    cells = _fields(grid[:, s0:e0], b",")
+    # blank each row's cells outside its stored columns, keeping the commas
+    for t, (a, b) in enumerate((np.clip(span, s0, e0) - s0).tolist()):
+        cells[t, :a, 1:] = cells[t, b:, 1:] = 0
+    lines = np.concatenate([_fields(np.arange(T), b"").reshape(T, -1), cells.reshape(T, -1),
+                            np.full((T, 2), tuple(b"\r\n"), dtype=np.uint8)], axis=1)
     with open(path, "wb") as fh:
-        fh.write(",n".join(["t", *map(str, range(offset + s0, offset + e0))]).encode() + b"\r\n")
-        # each row's stored columns within row 0's, counted from s0
-        for t, (a, b) in enumerate((np.clip(span, s0, e0) - s0).tolist()):
-            text = _fields(grid[t, s0 + a:s0 + b])
-            fh.write(b"%d%s%s%s\r\n" % (t, b"," * a, text, b"," * (e0 - s0 - b)))
+        fh.write(b"t" + head.tobytes().translate(None, b"\0") + b"\r\n")
+        fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def write_block_csv(block: SpaceTimeBlock, path: str) -> Tuple[str, str, str]:
@@ -102,7 +117,8 @@ def _parse_row(where: str, body: bytes) -> Tuple[int, np.ndarray]:
 
 def _read_grid(path: str) -> List[Tuple[int, np.ndarray]]:
     """(first site, values) per row of a grid file; a row's site comes from
-    where its values lie."""
+    where its values lie.  A grid whose every field is one digit is read in
+    one pass; any other grid row by row, each row checked in file order."""
     with open(path, "rb") as fh:
         head = fh.readline().rstrip(b"\r\n").split(b",")
         try:
@@ -111,13 +127,31 @@ def _read_grid(path: str) -> List[Tuple[int, np.ndarray]]:
             offset = None
         if offset is None:
             raise InvalidParams(f"{path}: missing or malformed block header")
-        out = []
-        for line in fh:
-            t, _, body = line.rstrip(b"\r\n").partition(b",")
-            start, vals = _parse_row(f"{path}: row t={t.decode(errors='replace')}", body)
-            out.append((offset + start, vals))
-    if not out:
+        lines = fh.read().split(b"\n")
+    if not lines[-1]:   # the newline that ends the last row
+        lines.pop()
+    if not lines:
         raise InvalidParams(f"{path}: no time rows")
+    starts, cores = [], []
+    for line in lines:
+        body = line.rstrip(b"\r\n").partition(b",")[2]
+        core = body.lstrip(b",")
+        starts.append(offset + len(body) - len(core))
+        cores.append(core.rstrip(b","))
+    joined = b",".join(cores)
+    if len(joined) % 2:
+        # one-digit fields pair up as (digit, comma): little-endian words
+        # 0x2C30 + value, so every word minus 0x2C30 lies in [0, 10)
+        vals = np.frombuffer(joined + b",", dtype="<u2") - 0x2C30
+        if (vals < 10).all():
+            ends = list(accumulate(len(c) // 2 + 1 for c in cores))
+            vals = vals.astype(np.int64)
+            return [(s, vals[i:j]) for s, i, j in zip(starts, [0, *ends], ends)]
+    out = []
+    for line in lines:
+        t, _, body = line.rstrip(b"\r\n").partition(b",")
+        start, vals = _parse_row(f"{path}: row t={t.decode(errors='replace')}", body)
+        out.append((offset + start, vals))
     return out
 
 

@@ -92,7 +92,7 @@ def sweep(J: Capacity, K: Capacity, c: Config, seed: int,
     zero-padded configurations so mass is conserved).
     """
     _, w, teta = advance_row(J, K, c.array(), seed, ZeroPad() if drain else SeededCarrier(seed))
-    cfg = Config(c.offset, tuple(teta.tolist()), c.J, c.boundary)
+    cfg = Config.from_array(c.offset, teta, c.J, c.boundary)
     return CarrierPath(c.offset, tuple(w.tolist()), seed), cfg
 
 
@@ -225,10 +225,12 @@ def carrier_from_path(p: PathEncoding, m2, J: Capacity) -> Tuple[int, ...]:
 
 
 def _forced_sweep(J: Capacity, K: Capacity, eta: np.ndarray,
-                  floor: int) -> Tuple[Optional[int], np.ndarray, np.ndarray]:
+                  floor: int) -> Tuple[Optional[int], Optional[np.ndarray],
+                                       Optional[np.ndarray]]:
     """(i, W, T eta): the row swept from the band's lower end and the first
     window index i whose load is forced, exact from i on; i is None when
-    no load is forced (always for J < K = inf, whose band is unbounded)."""
+    no load is forced.  For J < K = inf the band is unbounded, so nothing
+    is forced and nothing is swept: (None, None, None) after the checks."""
     validate_capacity(J, "J")
     validate_capacity(K, "K")
     if floor < 0:
@@ -237,9 +239,9 @@ def _forced_sweep(J: Capacity, K: Capacity, eta: np.ndarray,
         raise FloorTooLarge(f"need min(J, K) > 2*floor, got {min(J, K)} <= {2 * floor}")
     if eta.min() < floor or eta.max() > J - floor:
         raise InvalidCell(f"window cells must lie in [{floor}, {J - floor}] for floor {floor}")
-    w, teta = sweep_row(J, K, eta, floor)
     if J < K == INF:
-        return None, w, teta
+        return None, None, None
+    w, teta = sweep_row(J, K, eta, floor)
     # an infinite J deposits every entering load, so for J = K = inf any
     # finite load stands in for the band's unbounded top
     top, _ = sweep_row(J, K, eta, K - floor if K != INF else floor + 1)

@@ -38,6 +38,8 @@ from .lattice import (
 )
 from .local_rules import check_cell, local_map_array
 
+_MAP_CELLS = 2 ** 14    # cells per local map call of duality_verify
+
 
 # ---------------------------------------------------------------------------
 # single steps
@@ -57,7 +59,7 @@ def step(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Config:
     i, _, nxt = advance_row(J, K, c.array(), seed, c.boundary)
     if not len(nxt):
         raise Undetermined("window exhausted: no cell right of the forced position")
-    return Config(c.offset + i + (seed is None), tuple(nxt.tolist()), c.J, c.boundary)
+    return Config.from_array(c.offset + i + (seed is None), nxt, c.J, c.boundary)
 
 
 def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
@@ -148,8 +150,7 @@ class SpaceTimeBlock:
 
     def config(self, t: int) -> Config:
         lo, hi = self.occ_span[t].tolist()
-        return Config(self.offset + lo, tuple(self.occ[t, lo:hi].tolist()), self.J,
-                      self.boundary)
+        return Config.from_array(self.offset + lo, self.occ[t, lo:hi], self.J, self.boundary)
 
     def carrier(self, t: int) -> CarrierPath:
         lo, hi = self.load_span[t].tolist()
@@ -221,9 +222,10 @@ def duality_verify(b: SpaceTimeBlock) -> DualityReport:
     """Check that each occupancy column is a BBS(K, J) carrier for the
     current column one site to its left: F2_{K,J}(W^t_n, eta^t_{n+1})
     must equal eta^{t+1}_{n+1} at every interior cell, that is wherever
-    row t stores W^t_n and rows t, t+1 store the occupancy at n + 1.  One
-    array local map checks the whole block; loads are validated as
-    ``local_map`` does, and the first invalid cell raises its error."""
+    row t stores W^t_n and rows t, t+1 store the occupancy at n + 1.  Array
+    local maps of a few rows each check the whole block; loads are
+    validated as ``local_map`` does, and the first invalid cell raises its
+    error."""
     J, K = b.J, b.K
     # interior columns [lo_t, hi_t) of row t, within the block's range [a, z)
     lo = np.maximum(b.load_span[:-1, 0], np.maximum(b.occ_span[:-1, 0], b.occ_span[1:, 0]) - 1)
@@ -238,7 +240,12 @@ def duality_verify(b: SpaceTimeBlock) -> DualityReport:
         if cells.any():
             t, j = _first(cells)
             check_cell(K, J, (int(w[t, j]), int(eta[t, j])))
-    miss = inside & (local_map_array(K, J, w, eta)[1] != b.occ[1:, a + 1:z + 1])
+    # a few rows per map call, so that the map's temporaries stay small
+    miss, nxt = inside.copy(), b.occ[1:, a + 1:z + 1]
+    chunk = max(1, _MAP_CELLS // max(z - a, 1))
+    for r in range(0, len(w), chunk):
+        rows = slice(r, r + chunk)
+        miss[rows] &= local_map_array(K, J, w[rows], eta[rows])[1] != nxt[rows]
     bad = int(np.count_nonzero(miss))
     first = None
     if bad:

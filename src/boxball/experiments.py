@@ -75,9 +75,9 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
                            "the stationary restriction")
     if L < 1:
         raise InvalidParams("window must be non-empty")
-    eta = tuple(sample_pmf(mu, spec.stream("window"), L).tolist())
+    eta = sample_pmf(mu, spec.stream("window"), L)
     currents = tuple(sample_pmf(nu, spec.stream("currents"), T_max + 1).tolist())
-    block = evolve_block(J, K, Config(offset, eta, J, IidInvariant(currents)), T_max)
+    block = evolve_block(J, K, Config.from_array(offset, eta, J, IidInvariant(currents)), T_max)
     meta["dual"] = nu
     return block, meta
 

@@ -76,6 +76,19 @@ class Config:
             if not isinstance(v, int) or v < 0 or v > self.J:
                 raise InvalidCell(f"cell value {v!r} outside [0, {self.J}]")
 
+    @classmethod
+    def from_array(cls, offset: int, cells: np.ndarray, J: Capacity,
+                   boundary: BoundaryMode = ZeroPad()) -> "Config":
+        """The window of an int64 array, range-checked on the array; an
+        empty or out-of-range window raises as the tuple constructor does."""
+        validate_capacity(J, "J")
+        if not (cells.dtype == np.int64 and len(cells)
+                and 0 <= cells.min() and cells.max() <= J):
+            return cls(offset, tuple(cells.tolist()), J, boundary)
+        c = cls.__new__(cls)
+        c.__dict__.update(offset=offset, cells=tuple(cells.tolist()), J=J, boundary=boundary)
+        return c
+
     def __len__(self) -> int:
         return len(self.cells)
 

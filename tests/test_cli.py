@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 import boxball
-from boxball import INF, sample_stationary_block, uniform
+from boxball import INF, sample_stationary_block, stbgeo, uniform
+from boxball import blockio
 from boxball.blockio import read_block_csv, write_block_csv
 from boxball.carrier import CarrierPath
 from boxball.cli import main
+from boxball.errors import InvalidParams, Undetermined
 from boxball.evolution import duality_verify, evolve_block
 from boxball.lattice import Config, Detect, IidInvariant, SeededCarrier, ZeroPad
+from boxball.measures import sample_pmf
 
 from block_rows import block_from_rows
 
@@ -247,6 +250,141 @@ def reference_block_csv(block, path):
         for t, c in enumerate(block.left_currents):
             w.writerow([t, "" if c is None else c])
     return paths
+
+
+def reference_read_grid(path):
+    """(first site, values) per row of a grid file, read row by row: each
+    row's checks in order, then ``np.fromstring`` on its values."""
+    with open(path, "rb") as fh:
+        head = fh.readline().rstrip(b"\r\n").split(b",")
+        try:
+            offset = int(head[1][1:]) if head[0] == b"t" else None
+        except (IndexError, ValueError):
+            offset = None
+        if offset is None:
+            raise InvalidParams(f"{path}: missing or malformed block header")
+        out = []
+        for line in fh:
+            t, _, body = line.rstrip(b"\r\n").partition(b",")
+            where = f"{path}: row t={t.decode(errors='replace')}"
+            core = body.lstrip(b",")
+            start = len(body) - len(core)
+            core = core.rstrip(b",")
+            if not core:
+                raise InvalidParams(f"{where} has no values")
+            if core.translate(None, b"0123456789,-"):
+                raise InvalidParams(f"{where} has a non-integer field")
+            if b",," in core:
+                raise InvalidParams(f"{where} has a blank field between values")
+            bad = b"-," in core or core.endswith(b"-")
+            try:
+                vals = np.fromstring(core, dtype=np.int64, sep=",")
+            except ValueError:
+                bad = True
+            if (bad or len(vals) != core.count(b",") + 1
+                    or vals.max() == 2 ** 63 - 1 or vals.min() == -2 ** 63):
+                raise InvalidParams(f"{where} has a non-integer field")
+            out.append((offset + start, vals))
+    if not out:
+        raise InvalidParams(f"{path}: no time rows")
+    return out
+
+
+def _fuzz_grid(rng):
+    """A grid file's bytes: mostly well formed, one-digit or wide, with the
+    odd bad field, blank, row label, header or line ending."""
+    one_digit = rng.random() < 0.5
+    flaw = 0.02 if rng.random() < 0.5 else 0.0
+
+    def field():
+        r = rng.random()
+        if r < flaw:
+            return [b"-", b"1-2", b"--1", b"x", b" ", b"+1", b"1.0", b"", b":", b"/"][
+                rng.integers(10)]
+        if one_digit or r < 0.5:
+            return b"%d" % rng.integers(10)
+        if r < 0.6:
+            return [b"%d" % (2 ** 63 - 1), b"%d" % -2 ** 63, b"%d" % 2 ** 63,
+                    b"%d" % (2 ** 63 - 2), b"%d" % (2 - 2 ** 63), b"-0"][rng.integers(6)]
+        digits = bytes(rng.integers(48, 58, rng.integers(1, 21)).astype(np.uint8))
+        return (b"-" if rng.random() < 0.3 else b"") + digits
+
+    width = int(rng.integers(1, 9))
+    head = b"t" + b"".join(b",n%d" % (int(rng.integers(-5, 5)) + j) for j in range(width))
+    if rng.random() < 0.02:
+        head = [b"t", b"", b"x,n1", b"t,nx", b"t,n 7"][rng.integers(5)]
+    end = b"\r\n" if rng.random() < 0.5 else b"\n"
+    lines = [head]
+    for t in range(int(rng.integers(0, 7))):
+        n = int(rng.integers(0 if rng.random() < 0.1 else 1, width + 1))   # 0: no values
+        a = int(rng.integers(0, width - n + 1))
+        vals = [field() for _ in range(n)]
+        label = b"%d" % t if rng.random() > flaw else b"t\xff"
+        lines.append(b",".join([label] + [b""] * a + vals + [b""] * (width - n - a)))
+        if rng.random() < flaw:
+            lines.append(b"")
+    text = end.join(lines)
+    return text + [b"", end, end + end][rng.choice(3, p=[0.2, 0.78, 0.02])]
+
+
+def test_grid_reader_matches_row_by_row_reference(tmp_path):
+    path = str(tmp_path / "g.csv")
+    rng = np.random.default_rng(17)
+    outcomes = {"read": 0, "raised": 0, "one-digit": 0}
+    for _ in range(3000):
+        text = _fuzz_grid(rng)
+        with open(path, "wb") as fh:
+            fh.write(text)
+        try:
+            want = reference_read_grid(path)
+        except InvalidParams as err:
+            with pytest.raises(InvalidParams) as got:
+                blockio._read_grid(path)
+            assert str(got.value) == str(err), text
+            outcomes["raised"] += 1
+            continue
+        got = blockio._read_grid(path)
+        assert [s for s, _ in got] == [s for s, _ in want], text
+        for (_, g), (_, w) in zip(got, want):
+            assert g.dtype == np.int64 and g.tolist() == w.tolist(), text
+        outcomes["read"] += 1
+        outcomes["one-digit"] += all(0 <= v <= 9 for _, w in want for v in w.tolist())
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_block_csv_round_trip_over_capacities(tmp_path):
+    # stationary, zero-padded and Detect blocks of every capacity pair
+    path = str(tmp_path / "b.csv")
+    caps = (1, 2, 3, 5, 12, INF)
+    rng = np.random.default_rng(5)
+    wide = 0
+    for J in caps:
+        for K in caps:
+            mu = (uniform(J) if INF not in (J, K)
+                  else stbgeo(J, 0.5 if K == INF else 0.9, 1, 1))
+            cells = sample_pmf(mu, rng, 40)
+            blocks = [sample_stationary_block(J, K, mu, 50, 6, int(rng.integers(2 ** 31)))[0],
+                      evolve_block(J, K, Config.from_array(0, cells, J), 6)]
+            # a Detect window of random cells until one forces every row
+            for _ in range(20):
+                window = Config.from_array(1, sample_pmf(mu, rng, 300), J, Detect())
+                try:
+                    blocks.append(evolve_block(J, K, window, 4))
+                    break
+                except Undetermined:
+                    pass
+            assert (len(blocks) == 2) == (J < K == INF), (J, K)
+            for block in blocks:
+                got = write_block_csv(block, path)
+                ref = reference_block_csv(block, str(tmp_path / "ref.csv"))
+                for g, r in zip(got, ref):
+                    assert open(g, "rb").read() == open(r, "rb").read(), (J, K, g)
+                assert read_block_csv(path, J, K) == block
+                for t in range(block.t_max + 1):
+                    c = block.config(t)
+                    assert c == Config(c.offset, c.cells, J, block.boundary)
+                wide += max(int(block.occ.max()), int(block.load.max())) >= 10
+    assert wide >= 10
 
 
 def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):

@@ -13,7 +13,7 @@ from boxball import (
     shift,
 )
 from boxball.errors import InvalidCell, InvalidParams, JInfinite
-from boxball.lattice import same_occupancies, trim_zeros
+from boxball.lattice import Detect, IidInvariant, ZeroPad, same_occupancies, trim_zeros
 
 
 def cfg(offset, cells, J):
@@ -48,6 +48,39 @@ def test_construction_validation_edge_cases():
             cfg(0, (0, J, J + 1, -1), J)
         assert str(err.value) == f"cell value {J + 1} outside [0, {J}]"
     assert cfg(0, (10 ** 6, 0), INF).cells == (10 ** 6, 0)
+
+
+def _raised(kind, f):
+    with pytest.raises(kind) as err:
+        f()
+    return str(err.value)
+
+
+def test_from_array_matches_tuple_constructor():
+    rng = np.random.default_rng(3)
+    for J in (1, 2, 5, 12, INF):
+        for n in (1, 7, 300):
+            arr = rng.integers(0, 13 if J == INF else J + 1, n)
+            for boundary in (ZeroPad(), Detect(1), IidInvariant((1, 0))):
+                c = Config.from_array(-4, arr, J, boundary)
+                ref = Config(-4, tuple(arr.tolist()), J, boundary)
+                assert c == ref and hash(c) == hash(ref) and c.cells == ref.cells
+                assert all(type(v) is int for v in c.cells)
+        assert Config.from_array(2, np.array([0]), J) == Config(2, (0,), J)
+        # an out-of-range cell or an empty window raises as the tuple form does
+        for cells in ([0, -1, 3], [J + 1 if J != INF else -2, 0]):
+            arr = np.array(cells, dtype=np.int64)
+            got = _raised(InvalidCell, lambda: Config.from_array(0, arr, J))
+            assert got == _raised(InvalidCell, lambda: Config(0, tuple(cells), J))
+            assert got.startswith(f"cell value {cells[0] or cells[1]} outside")
+        with pytest.raises(InvalidParams, match="non-empty"):
+            Config.from_array(0, np.zeros(0, dtype=np.int64), J)
+    with pytest.raises(InvalidParams):
+        Config.from_array(0, np.zeros(3, dtype=np.int64), 0)
+    # a non-int64 array goes through the tuple constructor's checks
+    assert Config.from_array(0, np.array([1, 2], dtype=np.int32), 2) == Config(0, (1, 2), 2)
+    with pytest.raises(InvalidCell, match="cell value 1.5 outside"):
+        Config.from_array(0, np.array([1.5]), 2)
 
 
 def test_text_round_trip():
