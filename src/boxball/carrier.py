@@ -172,11 +172,15 @@ def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
         # (i >= d) is constant, so is every prefix
         while d < n and (lo[d:] != hi[d:]).any():
             u_o, lo_o, hi_o = u[d:], lo[d:], hi[d:]
-            lo[d:], hi[d:] = (np.clip(lo[:-d] + u_o, lo_o, hi_o),
-                              np.clip(hi[:-d] + u_o, lo_o, hi_o))
+            # clip(x, lo_o, hi_o) = min(max(x, lo_o), hi_o); read lo_o, hi_o first
+            lo_n, hi_n = lo[:-d] + u_o, hi[:-d] + u_o
+            np.maximum(hi_n, lo_o, out=hi_n)
+            np.minimum(np.maximum(lo_n, lo_o, out=lo_n), hi_o, out=lo_o)
+            np.minimum(hi_n, hi_o, out=hi_o)
+            del lo_n, hi_n      # no temporaries outlive a pass (peak memory)
             u[d:] = u[:-d] + u_o
             d *= 2
-        v = np.clip(seed + u, lo, hi)
+        v = np.minimum(np.maximum(u + seed, lo, out=u), hi, out=u)
     w = sign * v
     w_prev = np.concatenate([[seed], w[:-1]])
     return w, eta + w_prev - w

@@ -9,6 +9,7 @@ statistical failure under --strict.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 from typing import List, Optional, Tuple
@@ -239,11 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: each parse starts a fresh namespace
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(argv))
+        args = _parser().parse_args(_apply_config_file(argv))
         return args.func(args)
     except (InvalidParams, FloorTooLarge, OSError) as exc:  # OSError: a file not opened
         print(f"error: {exc}", file=sys.stderr)

@@ -233,11 +233,11 @@ class SpeedEstimate:
 _DRAW_CHUNK = 256
 
 
-def _draw_sites(mu: Pmf, rng: np.random.Generator) -> Iterator[int]:
-    """Initial-row sites 1, 2, ... drawn on demand in chunks; the chunks
-    equal one long ``sample_pmf`` draw from the same generator."""
+def _draw_sites(mu: Pmf, rng: np.random.Generator) -> Iterator[List[int]]:
+    """Initial-row sites 1, 2, ... as lists of ``_DRAW_CHUNK`` sites; the
+    chunks equal one long ``sample_pmf`` draw from the same generator."""
     while True:
-        yield from sample_pmf(mu, rng, _DRAW_CHUNK).tolist()
+        yield sample_pmf(mu, rng, _DRAW_CHUNK).tolist()
 
 
 def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
@@ -245,50 +245,56 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
     """Track the left-most ball at site >= 1 for t_max steps, filling the
     block one anti-diagonal t + n = d at a time: cell (t, n) takes its
     occupancy from (t-1, n) and its load from (t, n-1), so a diagonal is one
-    elementwise local map.  ``occ[t]``, ``load[t]`` feed row t's next cell,
-    held in the doubled state of ``exchange_map`` (2a - lo, 2b - lo); each
-    diagonal writes into preallocated rows: row t's new occupancy goes to
-    ``nxt[t + 1]``, its new load over ``load[t]``.
-    The ball's pool (entering queue, then box) follows ``tagged_evolve``."""
-    sites = _draw_sites(mu, spec.stream("window"))
-    lo, zero, top = exchange_form(J, K, t_max)
-    # row t joins at d = t
-    load = (2 * sample_pmf(nu, spec.stream("currents"), t_max) - lo).astype(zero.dtype)
-    occ, nxt, q = np.zeros((3, t_max + 1), dtype=zero.dtype)
+    local map over the t_max row lanes in the doubled state (2a - lo, 2b - lo), through
+    the view set of d's parity: row t's new occupancy goes to ``nxt[t + 1]``, its new load
+    over ``load[t]``.  Until row t joins at d = t its lane holds (-lo, -lo), a fixed point
+    of the map.  The dtype is ``exchange_form``'s for the balls entered, checked per draw
+    chunk.  The ball's pool (entering queue, then box) follows ``tagged_evolve``."""
+    currents = sample_pmf(nu, spec.stream("currents"), t_max)
+    balls = int(currents.sum())
+    lo, zero, _ = exchange_form(J, K, 0, balls)
+    entering = (2 * currents - lo).tolist()
+    state = np.full((4, t_max + 1), -lo, dtype=zero.dtype)    # occ, nxt, load, q
     row = -1    # row of the ball's next cell; -1 until the ball is found
-    rank = cells = d = 0    # rank: place in the pool from the first box ball
-    while True:
-        site0 = next(sites)
-        occ[0] = 2 * site0 - lo
-        if row < 0 and site0 > 0:
-            row, rank, x0 = 0, 1, d + 1
-        if row >= 0:
-            pos = ((int(load[row]) + lo) >> 1) + rank
-        m = min(d + 1, t_max)
-        exchange_map(J, K, occ[:m], load[:m], nxt[1:m + 1], q[:m], zero[:m],
-                     None if top is None else top[:m])
-        cells += m
-        if row >= 0:
-            if 2 * pos - lo <= nxt[row + 1]:
-                row, rank = row + 1, pos
-                if row == t_max:
-                    break
-            else:       # the pool's tail rides on, ahead of the next box
-                rank -= (int(occ[row]) + lo) >> 1
-        occ, nxt = nxt, occ
-        d += 1
-    x_final = d - t_max + 2
-    return {"replica": float(spec.replica_index), "x0": float(x0),
-            "x_final": float(x_final), "ratio": x_final / t_max,
-            "window": float(d + 1), "attempt": 0.0, "cells": float(cells)}
+    rank = d = 0    # rank: place in the pool from the first box ball
+    for chunk in _draw_sites(mu, spec.stream("window")):
+        balls += sum(chunk)
+        _, zero, top = exchange_form(J, K, t_max, balls)
+        state = state.astype(zero.dtype, copy=False)    # promoted once, if at all
+        occ, load, q = state[:2], state[2], state[3, :t_max]
+        views = [(v, v[0], v[2]) for v in ((occ[p, :t_max], load[:t_max], occ[1 - p, 1:],
+                                            q, zero, top) for p in (0, 1))]
+        for site0 in chunk:
+            view, A, A_out = views[d & 1]
+            A[0] = 2 * site0 - lo
+            if d < t_max:
+                load[d] = entering[d]
+            if row < 0 and site0 > 0:
+                row, rank, x0 = 0, 1, d + 1
+            if row >= 0:
+                pos = ((load.item(row) + lo) >> 1) + rank
+            exchange_map(J, K, *view)
+            if row >= 0:
+                if 2 * pos - lo <= A_out.item(row):
+                    row, rank = row + 1, pos
+                    if row == t_max:    # cells: min(e + 1, t_max) summed over e <= d
+                        x_final = d - t_max + 2
+                        return {"replica": float(spec.replica_index), "x0": float(x0),
+                                "x_final": float(x_final), "ratio": x_final / t_max,
+                                "window": float(d + 1), "attempt": 0.0,
+                                "cells": float(t_max * (2 * d - t_max + 3) // 2)}
+                else:       # the pool's tail rides on, ahead of the next box
+                    rank -= (A.item(row) + lo) >> 1
+            d += 1
 
 
 def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
                    replicas: int, rng: Union[int, RngSpec]) -> SpeedEstimate:
     """Monte Carlo estimate of the tagged-particle speed (theory: dual mean
     over measure mean).  Replica r uses the streams of ``RngSpec(seed, r)``
-    and records ``x0``, ``x_final``, ``window`` (initial sites drawn:
-    sites 1..window, about t_max + x_final), ``cells`` (cells updated) and
+    and records ``x0``, ``x_final``, ``window`` (initial sites used:
+    sites 1..window, about t_max + x_final), ``cells`` (the block's cells,
+    not the lanes mapped: min(d + 1, t_max) on each diagonal d < window) and
     ``attempt`` (always 0: sites are drawn on demand, so none run out)."""
     if J == K:
         raise InvalidParams("speed is identically 1 when J = K; nothing to estimate")

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .capacities import Capacity, is_finite, validate_capacity
+from .capacities import INF, Capacity, is_finite, validate_capacity
 from .errors import EitherCapacityInfinite, InvalidCell, RangeViolation
 
 CellPair = Tuple[int, int]
@@ -57,15 +57,16 @@ def local_map(J: Capacity, K: Capacity, pair: CellPair) -> CellPair:
     return a + deposit - pickup, b - deposit + pickup
 
 
-def exchange_form(J: Capacity, K: Capacity, shape) -> Tuple[int, np.ndarray,
-                                                         Optional[np.ndarray]]:
+def exchange_form(J: Capacity, K: Capacity, shape, balls: Capacity = INF,
+                  ) -> Tuple[int, np.ndarray, Optional[np.ndarray]]:
     """lo = min{J, K} (0 if both are infinite) and the bound arrays 0 and 2M
     of ``exchange_map``, M = |J - K| (0 if J = K; no 2M array if M = inf), of
-    ``shape`` in the state dtype: int16 when J + K < 2**14, where every value
-    lies in [-2 lo, 2(J + K)], else int64 (an infinite capacity included)."""
+    ``shape`` in the state dtype: int16 when lo and B are below 2**14, where
+    every value lies in [-2 lo, 2B], B = min{J + K, balls} bounding a + b in
+    every cell (``balls``: the balls in the system), else int64."""
     lo = min(J, K) if is_finite(min(J, K)) else 0
     M = 0 if J == K else abs(J - K)
-    dtype = np.int16 if J + K < 2 ** 14 else np.int64
+    dtype = np.int16 if max(lo, min(J + K, balls)) < 2 ** 14 else np.int64
     zero = np.zeros(shape, dtype=dtype)
     return lo, zero, (np.full(shape, 2 * M, dtype=dtype) if is_finite(M) else None)
 

@@ -9,7 +9,7 @@ import pytest
 
 import boxball
 from boxball import INF, sample_stationary_block, stbgeo, uniform
-from boxball import blockio
+from boxball import blockio, cli
 from boxball.blockio import read_block_csv, write_block_csv
 from boxball.carrier import CarrierPath
 from boxball.cli import main
@@ -544,3 +544,45 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                ["iid", "--currents", "1,1,1,-1", "--steps", "3"]):
         assert run(["evolve", "--J", "2", "--K", "3", "--boundary", *bd, "--config", "0:1,0",
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; each call must see only its
+    # own defaults, config-file values and flags, as with a fresh parser
+    assert cli._parser() is cli._parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("J = 1\nK = inf\nmu = bernoulli:0.25\nt_max = 40\nreplicas = 2\nseed = 3\n")
+    block = str(tmp_path / "block.csv")
+    calls = [
+        ["speed", "--config-file", str(cfg), "--strict", "--tol-rel", "1e-12"],
+        ["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
+         "--replicas", "1", "--seed", "3"],
+        ["measure", "classify", "--J", "1", "--K", "2", "--mu", "bernoulli:0.25"],
+        ["speed", "--config-file", str(cfg), "--t-max", "30"],
+        ["evolve", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--steps", "2",
+         "--boundary", "seeded", "--carrier-seed", "1", "--out", block],
+        ["evolve", "--J", "3"],     # a usage error: argparse exits
+        ["evolve", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--out", block],
+        ["dual", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--boundary", "iid",
+         "--currents", "1,0,2,1,0"],
+    ]
+
+    def outcome(argv):
+        for p in tmp_path.glob("block*.csv"):
+            p.unlink()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err, [p.read_text() for p in sorted(tmp_path.glob("block*.csv"))]
+
+    cached = [outcome(a) for a in calls] + [outcome(a) for a in reversed(calls)]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [outcome(a) for a in calls]
+    assert cached[:len(calls)] == fresh
+    assert cached[len(calls):] == fresh[::-1]
+    codes = [c[0] for c in fresh]
+    assert codes == [4, 0, 0, 0, 0, ("exit", 2), 0, 0]
+    assert "t_max=40 replicas=2" in fresh[0][1] and "t_max=2000 replicas=1" in fresh[1][1]
+    assert "t_max=30 replicas=2" in fresh[3][1]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -324,13 +325,92 @@ def test_speed_tracker_matches_tagged_evolve(monkeypatch):
 def test_tracker_chunked_draws_equal_one_draw(monkeypatch):
     monkeypatch.setattr(experiments, "_DRAW_CHUNK", 7)
     mu = stbgeo(INF, 0.5, 1, 1)
-    sites = experiments._draw_sites(mu, RngSpec(3, 1).stream("window"))
-    chunked = [next(sites) for _ in range(15 * 7)]
+    chunks = list(itertools.islice(
+        experiments._draw_sites(mu, RngSpec(3, 1).stream("window")), 15))
+    assert all(isinstance(c, list) and len(c) == 7 for c in chunks)
     whole = sample_pmf(mu, RngSpec(3, 1).stream("window"), 15 * 7)
-    assert chunked == whole.tolist()
+    assert [v for c in chunks for v in c] == whole.tolist()
 
 
 _CAPS = st.sampled_from([1, 2, 3, 5, INF])
+
+
+# (x0, x_final, window, cells) of replicas 0 and 1, master seed 99, recorded
+# from the tracker that mapped only the rows already joined (a lane ramp)
+# and drew the sites one at a time
+_GOLDEN_TRACKS = [
+    (2, 5, stbgeo(2, 0.5, 1, 1), {
+        1: [(1, 2, 2, 2), (3, 5, 5, 5)],
+        2: [(1, 3, 4, 7), (3, 6, 7, 13)],
+        3: [(1, 5, 7, 18), (3, 8, 10, 27)],
+        100: [(1, 168, 267, 21750), (3, 167, 266, 21650)]}),
+    (4, 2, uniform(4), {
+        1: [(1, 1, 1, 1), (1, 2, 2, 2)],
+        2: [(1, 1, 2, 3), (1, 2, 3, 5)],
+        3: [(1, 2, 4, 9), (1, 3, 5, 12)],
+        100: [(1, 50, 149, 9950), (1, 52, 151, 10150)]}),
+    (1, INF, bernoulli(0.25), {
+        1: [(1, 2, 2, 2), (4, 5, 5, 5)],
+        2: [(1, 4, 5, 9), (4, 6, 7, 13)],
+        3: [(1, 7, 9, 24), (4, 7, 9, 24)],
+        100: [(1, 180, 279, 22950), (4, 186, 285, 23550)],
+        2000: [(1, 4204, 6203, 10407000)]}),
+    (INF, 2, stbgeo(INF, 0.5, 1, 1), {
+        1: [(1, 2, 2, 2), (1, 2, 2, 2)],
+        2: [(1, 3, 4, 7), (1, 3, 4, 7)],
+        3: [(1, 4, 6, 15), (1, 4, 6, 15)],
+        100: [(1, 59, 158, 10850), (1, 59, 158, 10850)]}),
+    (3, 5, stbgeo(3, 0.5, 1, 1), {
+        2000: [(1, 2536, 4535, 7071000)]}),
+]
+
+
+def _track(rec):
+    return tuple(int(rec[k]) for k in ("x0", "x_final", "window", "cells"))
+
+
+def test_tracker_golden_records():
+    for J, K, mu, by_t in _GOLDEN_TRACKS:
+        for t_max, want in by_t.items():
+            est = speed_estimate(J, K, mu, t_max=t_max, replicas=len(want), rng=99)
+            assert [_track(r) for r in est.per_replica] == want, (J, K, t_max)
+            for rec, (_, x_final, window, _) in zip(est.per_replica, want):
+                assert rec["ratio"] == x_final / t_max and rec["attempt"] == 0
+
+
+def test_tracker_promotes_state_mid_run(monkeypatch):
+    # the balls entered (row currents and drawn sites) leave the int16 range
+    # of exchange_form after the first draw chunk and before the last; every
+    # diagonal of the chunk that crosses it, and after, maps int64 lanes
+    J, K, mu, t_max, master = INF, 2, stbgeo(INF, 0.9, 1, 1), 1500, 11
+    lanes = []
+
+    def spy(J, K, A, *rest):
+        lanes.append((A.dtype, len(A)))
+        exchange_map(J, K, A, *rest)
+
+    monkeypatch.setattr(experiments, "exchange_map", spy)
+    rec, = speed_estimate(J, K, mu, t_max=t_max, replicas=1, rng=master).per_replica
+    assert _track(rec) == (2, 165, 1664, 1371750)
+    spec, nu = RngSpec(master, 0), classify_invariant(J, K, mu).dual
+    chunk, window = experiments._DRAW_CHUNK, int(rec["window"])
+    n_chunks = -(-window // chunk)
+    sites = sample_pmf(mu, spec.stream("window"), n_chunks * chunk)
+    balls = (int(sample_pmf(nu, spec.stream("currents"), t_max).sum())
+             + np.cumsum(sites.reshape(n_chunks, chunk).sum(axis=1)))
+    dtypes = [exchange_form(J, K, 0, int(b))[1].dtype for b in balls]
+    assert dtypes[0] == np.int16 and dtypes[-1] == np.int64
+    assert lanes == [(dtypes[d // chunk], t_max) for d in range(window)]
+
+
+@settings(max_examples=60)
+@given(_CAPS, _CAPS, st.one_of(st.just(INF), st.integers(0, 2 ** 15)))
+def test_empty_lane_is_a_fixed_point(J, K, balls):
+    # a lane holds the doubled empty pair (-lo, -lo) until its row joins
+    lo, zero, top = exchange_form(J, K, 3, balls)
+    A, B, A_out, q = np.full((4, 3), -lo, dtype=zero.dtype)
+    exchange_map(J, K, A, B, A_out, q, zero, top)
+    assert (A == -lo).all() and (B == -lo).all() and (A_out == -lo).all()
 
 
 @settings(max_examples=80)
@@ -359,16 +439,23 @@ def test_diagonal_map_equals_local_map(J, K, pairs):
 
 @pytest.mark.parametrize("K, dtype", [(2 ** 14 - 2, np.int16), (2 ** 14 - 1, np.int64)])
 def test_exchange_dtype_edge(K, dtype):
-    # J + K < 2**14 picks int16; the extreme pairs give the extreme sums
+    # J + K < 2**14 picks int16, and so does a ball count J + K at K = inf;
+    # the extreme pairs give the extreme sums
     J, pairs = 1, [(1, K), (0, 0)]
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
-    lo, zero, top = exchange_form(J, K, len(pairs))
-    assert zero.dtype == top.dtype == dtype
-    A, B = ((2 * x - lo).astype(dtype) for x in (a, b))
-    A2, q = np.empty((2, len(pairs)), dtype=dtype)
-    exchange_map(J, K, A, B, A2, q, zero, top)
-    got = zip(((A2.astype(np.int64) + lo) >> 1).tolist(), ((B.astype(np.int64) + lo) >> 1).tolist())
-    assert list(got) == [local_map(J, K, p) for p in pairs]
+    for K_map, balls in ((K, INF), (INF, J + K)):
+        lo, zero, top = exchange_form(J, K_map, len(pairs), balls)
+        assert zero.dtype == dtype and (top is None) == (K_map == INF)
+        A, B = ((2 * x - lo).astype(dtype) for x in (a, b))
+        A2, q = np.empty((2, len(pairs)), dtype=dtype)
+        exchange_map(J, K_map, A, B, A2, q, zero, top)
+        got = zip(((A2.astype(np.int64) + lo) >> 1).tolist(),
+                  ((B.astype(np.int64) + lo) >> 1).tolist())
+        assert list(got) == [local_map(J, K_map, p) for p in pairs]
+    # without a ball count an infinite capacity stays int64; lo = K at
+    # J = inf bounds the values from below whatever the ball count
+    assert exchange_form(J, INF, 1)[1].dtype == np.int64
+    assert exchange_form(INF, K + 1, 1, 0)[1].dtype == dtype
 
 
 def test_speed_jsonl_records():
