@@ -240,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# main's parser, built once per process: each parse starts a fresh namespace
-_parser = functools.lru_cache(maxsize=None)(build_parser)
+# built once for callers that run main many times in one process
+_parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -445,7 +445,8 @@ def test_exchange_dtype_edge(K, dtype):
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
     for K_map, balls in ((K, INF), (INF, J + K)):
         lo, zero, top = exchange_form(J, K_map, len(pairs), balls)
-        assert zero.dtype == dtype and (top is None) == (K_map == INF)
+        assert zero.dtype == dtype
+        assert top is None if K_map == INF else top.dtype == dtype
         A, B = ((2 * x - lo).astype(dtype) for x in (a, b))
         A2, q = np.empty((2, len(pairs)), dtype=dtype)
         exchange_map(J, K_map, A, B, A2, q, zero, top)
