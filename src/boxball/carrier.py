@@ -3,10 +3,11 @@
 The carrier load after each site satisfies W_n = F2(eta_n, W_{n-1}), and in
 every regime one site's update is a monotone clamp map of the entering
 load.  One kernel, ``sweep_row``, composes these maps by a prefix scan;
-every carrier of the package comes from it.  Seed detection sweeps from the
-two ends of the admissible load band and forces the load where the sweeps
-meet.  For J < K = inf the band is unbounded and the carrier is a running
-maximum over the whole past, so no window forces it and a Detect row is
+every carrier of the package comes from it, and a ``CarrierPath`` holds a
+read-only int64 copy of its loads.  Seed detection sweeps from the two ends
+of the admissible load band and forces the load where the sweeps meet.  For
+J < K = inf the band is unbounded and the carrier is a running maximum over
+the whole past, so no window forces it and a Detect row is
 ``Undetermined``.  The reflected-path transform for J < K is kept as the
 paper's view of the same carrier.
 """
@@ -21,12 +22,14 @@ import numpy as np
 from .capacities import INF, Capacity, validate_capacity
 from .errors import FloorTooLarge, InvalidCell, InvalidParams, ParityViolation, Undetermined
 from .lattice import (
+    ArrayFields,
     BoundaryMode,
     Config,
     IidInvariant,
     PathEncoding,
     SeededCarrier,
     ZeroPad,
+    frozen_int64,
 )
 from .local_rules import local_map
 
@@ -36,13 +39,17 @@ from .local_rules import local_map
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CarrierPath:
-    """Loads W_n for consecutive sites; left_seed is W at offset-1 when known."""
+@dataclass(frozen=True, eq=False)
+class CarrierPath(ArrayFields):
+    """Loads W_n for consecutive sites as a read-only int64 array; left_seed
+    is W at offset-1 when known."""
 
     offset: int
-    values: Tuple[int, ...]
+    values: np.ndarray
     left_seed: Optional[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", frozen_int64(self.values, "load"))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -55,7 +62,7 @@ class CarrierPath:
         if n == self.offset - 1 and self.left_seed is not None:
             return self.left_seed
         if self.offset <= n <= self.end:
-            return self.values[n - self.offset]
+            return self.values.item(n - self.offset)
         raise KeyError(f"carrier value at {n} not covered")
 
 
@@ -91,9 +98,8 @@ def sweep(J: Capacity, K: Capacity, c: Config, seed: int,
     the window end until the carrier empties, extending the output (used for
     zero-padded configurations so mass is conserved).
     """
-    _, w, teta = advance_row(J, K, c.array(), seed, ZeroPad() if drain else SeededCarrier(seed))
-    cfg = Config.from_array(c.offset, teta, c.J, c.boundary)
-    return CarrierPath(c.offset, tuple(w.tolist()), seed), cfg
+    _, w, teta = advance_row(J, K, c.cells, seed, ZeroPad() if drain else SeededCarrier(seed))
+    return CarrierPath(c.offset, w, seed), Config(c.offset, teta, c.J, c.boundary)
 
 
 def advance_row(J: Capacity, K: Capacity, eta: np.ndarray, seed: Optional[int],
@@ -149,6 +155,12 @@ def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
     n = len(eta)
     if n == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    if J == INF or K == INF:
+        # loads and partial sums below stay within (n + 2)(seed + J), for
+        # J = inf a bound on the J set below; checked on Python ints
+        top = J if J != INF else max(seed + n * int(eta.max()), K if K != INF else 0) + 1
+        if (n + 2) * (seed + top) >= 2 ** 63:
+            raise InvalidCell(f"a row of {n} cells entered by load {seed} may leave int64")
     if J == INF:
         # a + W never exceeds the balls entering or inside the row
         J = max(seed + int(eta.sum()), K if K != INF else 0) + 1
@@ -263,7 +275,7 @@ def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional
     the band is unbounded and no finite window forces the carrier, returns
     None.
     """
-    i, w, _ = _forced_sweep(J, K, c.array(), floor)
+    i, w, _ = _forced_sweep(J, K, c.cells, floor)
     return None if i is None else SeedReport(c.offset + i, int(w[i]))
 
 
@@ -298,8 +310,8 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
     seed = _resolve_seed(c, t)
-    i, w, _ = advance_row(J, K, c.array(), seed, c.boundary)
-    return CarrierPath(c.offset + i, tuple(w[:len(c) - i].tolist()), seed)
+    i, w, _ = advance_row(J, K, c.cells, seed, c.boundary)
+    return CarrierPath(c.offset + i, w[:len(c) - i], seed)
 
 
 def essential_boundary(J: Capacity, K: Capacity, c: Config,

@@ -9,7 +9,7 @@ carrier capacities exchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
@@ -27,6 +27,7 @@ from .errors import (
     WindowExceeded,
 )
 from .lattice import (
+    ArrayFields,
     BallLabels,
     BoundaryMode,
     Config,
@@ -56,10 +57,10 @@ def step(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Config:
     if J != c.J:
         raise ValueError(f"config carries J={c.J}, got J={J}")
     seed = _resolve_seed(c, t)
-    i, _, nxt = advance_row(J, K, c.array(), seed, c.boundary)
+    i, _, nxt = advance_row(J, K, c.cells, seed, c.boundary)
     if not len(nxt):
         raise Undetermined("window exhausted: no cell right of the forced position")
-    return Config.from_array(c.offset + i + (seed is None), nxt, c.J, c.boundary)
+    return Config(c.offset + i + (seed is None), nxt, c.J, c.boundary)
 
 
 def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
@@ -77,7 +78,7 @@ def inverse_step(J: Capacity, K: Capacity, c: Config) -> Config:
 
 
 @dataclass(frozen=True, eq=False)
-class SpaceTimeBlock:
+class SpaceTimeBlock(ArrayFields):
     """Rows t = 0..T of a space-time block, held as two int64 arrays over
     the sites offset, offset + 1, ...: ``occ[t, j]`` and ``load[t, j]`` are
     the occupancy and the carrier load W of row t at site offset + j.  Row t
@@ -135,27 +136,17 @@ class SpaceTimeBlock:
         occ, occ_span, load, load_span = grids
         return cls(J, K, lo, occ, load, occ_span, load_span, tuple(left_currents), boundary)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SpaceTimeBlock) and all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in ((getattr(self, f.name), getattr(other, f.name))
-                         for f in fields(self)))
-
-    def __hash__(self) -> int:
-        return hash((self.J, self.K, self.offset, self.left_currents, self.boundary))
-
     @property
     def t_max(self) -> int:
         return len(self.occ) - 1
 
     def config(self, t: int) -> Config:
         lo, hi = self.occ_span[t].tolist()
-        return Config.from_array(self.offset + lo, self.occ[t, lo:hi], self.J, self.boundary)
+        return Config(self.offset + lo, self.occ[t, lo:hi], self.J, self.boundary)
 
     def carrier(self, t: int) -> CarrierPath:
         lo, hi = self.load_span[t].tolist()
-        return CarrierPath(self.offset + lo, tuple(self.load[t, lo:hi].tolist()),
-                           self.left_currents[t])
+        return CarrierPath(self.offset + lo, self.load[t, lo:hi], self.left_currents[t])
 
     @cached_property
     def rows(self) -> Tuple[Tuple[Config, CarrierPath], ...]:
@@ -176,7 +167,7 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBl
     if J != c.J:
         raise InvalidParams(f"config carries J={c.J}, got J={J}")
     occ, load, seeds = [], [], []
-    start, eta = c.offset, c.array()
+    start, eta = c.offset, c.cells
     for t in range(t_max + 1):
         seed = _resolve_seed(c, t)
         i, w, nxt = advance_row(J, K, eta, seed, c.boundary)
@@ -321,7 +312,7 @@ def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
         raise TrackedBallAbsent(f"ball {tracked} not present")
     trajectory = [locate(tracked)]
 
-    cells = list(cfg.cells)
+    cells = cfg.cells.tolist()
     for t in range(t_max):
         seed = _resolve_seed(cfg, t)
         if seed is None:
@@ -347,6 +338,6 @@ def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
         cells = nxt
         trajectory.append(locate(tracked))
 
-    cfg = cfg.with_cells(cfg.offset, cells)
+    cfg = Config(cfg.offset, cells, cfg.J, cfg.boundary)
     labels = BallLabels(cfg.offset, tuple(tuple(grp) for grp in sites))
     return tuple(trajectory), TaggedState(cfg, labels, tuple(exited))

@@ -77,7 +77,7 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
         raise InvalidParams("window must be non-empty")
     eta = sample_pmf(mu, spec.stream("window"), L)
     currents = tuple(sample_pmf(nu, spec.stream("currents"), T_max + 1).tolist())
-    block = evolve_block(J, K, Config.from_array(offset, eta, J, IidInvariant(currents)), T_max)
+    block = evolve_block(J, K, Config(offset, eta, J, IidInvariant(currents)), T_max)
     meta["dual"] = nu
     return block, meta
 

@@ -1,13 +1,15 @@
 """Finite-window configurations, spatial operators and path encodings.
 
 A window stores occupancies for consecutive lattice sites starting at an
-absolute offset.  Path encodings keep the walk in doubled units so that the
-two-point running average stays integral for odd box capacities.
+absolute offset, as a read-only int64 array that the row kernels read as it
+is; the paper's views (ball labels, path encodings) read its cells as a
+list.  Path encodings keep the walk in doubled units so that the two-point
+running average stays integral for odd box capacities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Tuple, Union
 
 import numpy as np
@@ -55,39 +57,58 @@ BoundaryMode = Union[ZeroPad, SeededCarrier, Detect, IidInvariant]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Config:
-    """A finite window of box occupancies with absolute lattice offset."""
+def frozen_int64(values, what: str, lo: int = -2 ** 63,
+                 hi: Capacity = 2 ** 63 - 1) -> np.ndarray:
+    """A read-only int64 copy of ``values``, integers (bools count) in
+    [lo, hi].  An integer array is checked with its min() and max(),
+    anything else cell by cell: the first cell that is not an int (a numpy
+    scalar, a float, a string, None), lies outside [lo, hi] or past int64
+    raises InvalidCell, named as ``what``."""
+    top = min(hi, 2 ** 63 - 1)
+    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "biu"
+            and (not values.size or lo <= values.min() and values.max() <= top)):
+        for v in (values.tolist() if isinstance(values, np.ndarray) else values):
+            if not isinstance(v, int) or not lo <= v <= top:
+                if isinstance(v, int) and lo <= v <= hi:
+                    raise InvalidCell(f"{what} {v} does not fit in int64")
+                raise InvalidCell(f"{what} {v!r} outside [{lo}, {hi}]")
+    a = np.array(values, dtype=np.int64)    # a copy, which no caller can write
+    a.flags.writeable = False
+    return a
+
+
+class ArrayFields:
+    """Equality and hash of a frozen dataclass over its fields, an array
+    field by its values."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values()))
+
+    def __hash__(self) -> int:
+        return hash(tuple((v.shape, v.astype(np.int64, copy=False).tobytes())
+                          if isinstance(v, np.ndarray) else v for v in self._values()))
+
+
+@dataclass(frozen=True, eq=False)
+class Config(ArrayFields):
+    """A finite window of box occupancies with absolute lattice offset,
+    held as a read-only int64 array."""
 
     offset: int
-    cells: Tuple[int, ...]
+    cells: np.ndarray
     J: Capacity
     boundary: BoundaryMode = field(default_factory=ZeroPad)
 
     def __post_init__(self):
         validate_capacity(self.J, "J")
-        cells = self.cells
-        if not cells:
+        if not len(self.cells):
             raise InvalidParams("window must be non-empty")
-        # fast path: exact ints within range; otherwise find the culprit
-        if set(map(type, cells)) == {int} and 0 <= min(cells) and max(cells) <= self.J:
-            return
-        for v in cells:
-            if not isinstance(v, int) or v < 0 or v > self.J:
-                raise InvalidCell(f"cell value {v!r} outside [0, {self.J}]")
-
-    @classmethod
-    def from_array(cls, offset: int, cells: np.ndarray, J: Capacity,
-                   boundary: BoundaryMode = ZeroPad()) -> "Config":
-        """The window of an int64 array, range-checked on the array; an
-        empty or out-of-range window raises as the tuple constructor does."""
-        validate_capacity(J, "J")
-        if not (cells.dtype == np.int64 and len(cells)
-                and 0 <= cells.min() and cells.max() <= J):
-            return cls(offset, tuple(cells.tolist()), J, boundary)
-        c = cls.__new__(cls)
-        c.__dict__.update(offset=offset, cells=tuple(cells.tolist()), J=J, boundary=boundary)
-        return c
+        object.__setattr__(self, "cells", frozen_int64(self.cells, "cell value", 0, self.J))
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -100,20 +121,14 @@ class Config:
     def at(self, n: int, default: int = 0) -> int:
         """Occupancy at lattice index n; default outside the window."""
         if self.offset <= n <= self.end:
-            return self.cells[n - self.offset]
+            return self.cells.item(n - self.offset)
         return default
 
-    def array(self) -> np.ndarray:
-        return np.asarray(self.cells, dtype=np.int64)
-
     def ball_count(self) -> int:
-        return sum(self.cells)
-
-    def with_cells(self, offset: int, cells) -> "Config":
-        return Config(offset, tuple(int(v) for v in cells), self.J, self.boundary)
+        return int(self.cells.sum())
 
     def text(self) -> str:
-        return f"{self.offset}:" + ",".join(str(v) for v in self.cells)
+        return f"{self.offset}:" + ",".join(map(str, self.cells.tolist()))
 
 
 def config_from_text(text: str, J: Capacity, boundary: BoundaryMode = ZeroPad()) -> Config:
@@ -131,7 +146,7 @@ def config_from_text(text: str, J: Capacity, boundary: BoundaryMode = ZeroPad())
 
 def reverse(c: Config) -> Config:
     """Spatial reversal: the cell at lattice index n moves to index 1 - n."""
-    return Config(1 - c.end, tuple(reversed(c.cells)), c.J, c.boundary)
+    return Config(1 - c.end, c.cells[::-1], c.J, c.boundary)
 
 
 def shift(c: Config, k: int) -> Config:
@@ -148,7 +163,7 @@ def same_occupancies(a: Config, b: Config) -> bool:
 
 def trim_zeros(c: Config) -> Config:
     """Drop empty cells at both ends (keeping at least one cell)."""
-    cells = c.cells
+    cells = c.cells.tolist()
     lo, hi = 0, len(cells)
     while lo < hi - 1 and cells[lo] == 0:
         lo += 1
@@ -183,7 +198,7 @@ def label_balls(c: Config) -> BallLabels:
     """Assign indices 1..N scanning sites left-to-right, bottom-to-top."""
     nxt = 1
     sites = []
-    for v in c.cells:
+    for v in c.cells.tolist():
         sites.append(tuple(range(nxt, nxt + v)))
         nxt += v
     return BallLabels(c.offset, tuple(sites))
@@ -233,7 +248,7 @@ def path_encode(c: Config) -> PathEncoding:
     J = c.J
     out = []
     d = 0
-    for v in c.cells:
+    for v in c.cells.tolist():
         d += 2 * (J - 2 * v)
         out.append(d)
     return PathEncoding(c.offset, tuple(out))
@@ -255,4 +270,4 @@ def path_decode(p: PathEncoding, J: Capacity, boundary: BoundaryMode = ZeroPad()
             raise InvalidIncrement(f"increment {inc} outside [-2J, 2J] for J={J}")
         cells.append(v)
         prev = d
-    return Config(p.offset, tuple(cells), J, boundary)
+    return Config(p.offset, cells, J, boundary)

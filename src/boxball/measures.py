@@ -313,7 +313,10 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf) -> Pmf:
     of the solution sum below 1e-13.  That tail test is sound because
     GTH computes tail entries to relative accuracy, not to an absolute
     noise floor; the returned pmf is then cut where its remaining tail
-    drops below 1e-13, as in ``stbgeo``, and marked truncated.
+    drops below 1e-13, as in ``stbgeo``, and marked truncated.  Past-cap
+    transitions are clipped into the cap state, so a closed class without
+    it loses nothing: that solve is exact, and its pmf is cut only at its
+    trailing zeros and marked truncated only if mu is.
     """
     if not mrev_member(J, K, mu):
         raise NotInMrev(f"measure with r={r_val(J, mu)} not reversible for "
@@ -324,7 +327,7 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf) -> Pmf:
     if is_finite(K):
         kernel = w_chain(J, K, mu)
         pi = _stationary_on_class(kernel, start=r)
-        return Pmf(tuple(pi), mu.truncated)
+        return Pmf(tuple(pi.tolist()), mu.truncated)
     cap = max(32, 4 * len(mu))
     while True:
         kernel = w_chain(J, K, mu, state_cap=cap, leak_tol=math.inf)
@@ -334,6 +337,9 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf) -> Pmf:
         cap *= 2
         if cap > 1 << 20:
             raise TruncationTooSmall("stationary tail does not decay")
+    if not _closed_class(kernel, r)[-1]:
+        pi = pi[:int(np.flatnonzero(pi)[-1]) + 1]
+        return Pmf(tuple(pi.tolist()), mu.truncated)
     # cut where the remaining tail is below _TAIL_EPS, keep the pmf truncated
     cum = np.cumsum(pi[::-1])[::-1]
     keep = np.nonzero(cum >= _TAIL_EPS)[0]
@@ -341,7 +347,7 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf) -> Pmf:
     pi = pi[:hi]
     if pi.sum() > 1.0:
         pi = pi / pi.sum()
-    return Pmf(tuple(pi), truncated=True)
+    return Pmf(tuple(pi.tolist()), truncated=True)
 
 
 # ---------------------------------------------------------------------------

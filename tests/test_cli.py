@@ -87,6 +87,52 @@ def test_running_max_detect_is_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _past_int64_error(argv, capsys):
+    """The stderr line of a run that must end in a domain or usage error."""
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3) and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    return code, err
+
+
+def test_cell_past_int64_is_domain_error(tmp_path, capsys):
+    big = "100000000000000000000000000000"
+    code, err = _past_int64_error(["evolve", "--J", "inf", "--K", "3", "--config",
+                                   f"0:{big},0", "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 3 and err == f"error: cell value {big} does not fit in int64\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_capacity_past_bound_is_usage_error(tmp_path, capsys):
+    big = "1000000000000000000000000"
+    code, err = _past_int64_error(["evolve", "--J", big, "--K", "3", "--config", "0:1,0",
+                                   "--out", str(tmp_path / "x.csv")], capsys)
+    assert code == 2 and err == f"error: J must be at most 2**31 or inf, got {big}\n"
+    assert run(["evolve", "--J", str(2 ** 31), "--K", "3", "--config", "0:1,0",
+                "--out", str(tmp_path / "y.csv")]) == 0
+
+
+def test_row_sums_past_int64_are_domain_error(tmp_path, capsys):
+    half = str(2 ** 62)
+    code, err = _past_int64_error(["evolve", "--J", "inf", "--K", "inf", "--config",
+                                   f"0:{half},{half}", "--out", str(tmp_path / "x.csv")],
+                                  capsys)
+    assert code == 3 and "int64" in err
+    # an entering load that K = inf admits but int64 cannot carry
+    code, err = _past_int64_error(["evolve", "--J", "1", "--K", "inf", "--config", "0:1",
+                                   "--boundary", "seeded", "--carrier-seed", str(2 ** 63),
+                                   "--out", str(tmp_path / "y.csv")], capsys)
+    assert code == 3 and "int64" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_speed_capacity_past_bound_is_usage_error(capsys):
+    big = "100000000000000000000000"
+    code, err = _past_int64_error(["speed", "--J", "1", "--K", big, "--mu", "bernoulli:0.25",
+                                   "--t-max", "10", "--replicas", "2", "--seed", "1"], capsys)
+    assert code == 2 and err == f"error: K must be at most 2**31 or inf, got {big}\n"
+
+
 def test_dual_round_trip_via_csv(tmp_path, capsys):
     out = tmp_path / "block.csv"
     assert run(["evolve", "--J", "1", "--K", "inf", "--config", "0:1,1,0,1,0",
@@ -212,7 +258,7 @@ def test_block_csv_round_trip_object_level(tmp_path):
         assert duality_verify(back).violations == 0
         for t in range(steps + 1):
             assert back.config(t).offset == block.config(t).offset
-            assert back.config(t).cells == block.config(t).cells
+            assert back.config(t).cells.tolist() == block.config(t).cells.tolist()
             assert back.carrier(t) == block.carrier(t)
         if isinstance(c.boundary, Detect):
             assert block.config(steps).offset > c.offset
@@ -364,10 +410,10 @@ def test_block_csv_round_trip_over_capacities(tmp_path):
                   else stbgeo(J, 0.5 if K == INF else 0.9, 1, 1))
             cells = sample_pmf(mu, rng, 40)
             blocks = [sample_stationary_block(J, K, mu, 50, 6, int(rng.integers(2 ** 31)))[0],
-                      evolve_block(J, K, Config.from_array(0, cells, J), 6)]
+                      evolve_block(J, K, Config(0, cells, J), 6)]
             # a Detect window of random cells until one forces every row
             for _ in range(20):
-                window = Config.from_array(1, sample_pmf(mu, rng, 300), J, Detect())
+                window = Config(1, sample_pmf(mu, rng, 300), J, Detect())
                 try:
                     blocks.append(evolve_block(J, K, window, 4))
                     break
@@ -382,7 +428,7 @@ def test_block_csv_round_trip_over_capacities(tmp_path):
                 assert read_block_csv(path, J, K) == block
                 for t in range(block.t_max + 1):
                     c = block.config(t)
-                    assert c == Config(c.offset, c.cells, J, block.boundary)
+                    assert c == Config(c.offset, c.cells.tolist(), J, block.boundary)
                 wide += max(int(block.occ.max()), int(block.load.max())) >= 10
     assert wide >= 10
 

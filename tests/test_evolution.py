@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from boxball import (
-    CarrierPath,
     Config,
     Detect,
     IidInvariant,
     INF,
     SeededCarrier,
+    SpaceTimeBlock,
     bernoulli,
     current_column,
     duality_verify,
@@ -38,8 +38,8 @@ from block_rows import block_from_rows
 
 def cfg(offset, cells, J, boundary=None):
     if boundary is None:
-        return Config(offset, tuple(cells), J)
-    return Config(offset, tuple(cells), J, boundary)
+        return Config(offset, cells, J)
+    return Config(offset, cells, J, boundary)
 
 
 def random_zero_padded(rng, J, n_max=14):
@@ -58,10 +58,10 @@ REGIMES = [(2, 5), (3, 5), (1, INF), (3, INF), (2, 2), (4, 2), (INF, 3)]
 
 
 def test_step_examples():
-    assert step(3, 4, cfg(1, (2, 1, 0), 3)).cells == (0, 2, 1)
-    assert step(1, INF, cfg(1, (1, 1, 0, 0), 1)).cells == (0, 0, 1, 1)
+    assert step(3, 4, cfg(1, (2, 1, 0), 3)).cells.tolist() == [0, 2, 1]
+    assert step(1, INF, cfg(1, (1, 1, 0, 0), 1)).cells.tolist() == [0, 0, 1, 1]
     c = cfg(0, (2, 0, 1), 2)
-    assert step(2, 2, c).cells == (0, 2, 0, 1)  # right shift, drained
+    assert step(2, 2, c).cells.tolist() == [0, 2, 0, 1]  # right shift, drained
 
 
 def test_step_inverse_round_trip_randomized():
@@ -129,7 +129,7 @@ def test_block_j_equals_k_right_shifts():
     for t in range(4):
         row = b.config(t)
         nxt = b.config(t + 1)
-        assert nxt.cells[1:] == row.cells[:-1]
+        assert nxt.cells[1:].tolist() == row.cells[:-1].tolist()
         assert nxt.cells[0] == b.left_currents[t]
 
 
@@ -176,9 +176,9 @@ def test_duality_verify_detects_corruption():
     c = cfg(0, (1, 0, 1, 1, 0), 1)
     b = evolve_block(1, 2, c, 4)
     cfg2, w2 = b.rows[2]
-    bad_cells = list(cfg2.cells)
+    bad_cells = cfg2.cells.tolist()
     bad_cells[2] = 1 - bad_cells[2]
-    bad_row = (cfg2.with_cells(cfg2.offset, bad_cells), w2)
+    bad_row = (Config(cfg2.offset, bad_cells, cfg2.J, cfg2.boundary), w2)
     rows = b.rows[:2] + (bad_row,) + b.rows[3:]
     bad = block_from_rows(b.J, b.K, rows)
     assert duality_verify(bad).violations >= 1
@@ -203,12 +203,15 @@ def reference_duality(b):
 
 
 def with_row(b, t, cells=None, loads=None):
-    cfg0, w0 = b.rows[t]
+    """b with the cells or the loads of row t replaced; the new values reach
+    the block constructor's own checks unconverted."""
+    occ = [(c.offset, c.cells) for c, _ in b.rows]
+    load = [(w.offset, w.values) for _, w in b.rows]
     if cells is not None:
-        cfg0 = cfg0.with_cells(cfg0.offset, cells)
+        occ[t] = (occ[t][0], cells)
     if loads is not None:
-        w0 = CarrierPath(w0.offset, tuple(loads), w0.left_seed)
-    return block_from_rows(b.J, b.K, b.rows[:t] + ((cfg0, w0),) + b.rows[t + 1:])
+        load[t] = (load[t][0], loads)
+    return SpaceTimeBlock.from_spans(b.J, b.K, occ, load, b.left_currents, b.boundary)
 
 
 DUAL_CAPS = [1, 2, 3, 5, INF]
@@ -227,7 +230,7 @@ def duality_blocks(rng):
                 c = random_zero_padded(rng, J, n_max=30)
                 yield evolve_block(J, K, c, 5)
                 try:
-                    yield evolve_block(J, K, cfg(1, c.cells + c.cells, J, Detect()), 3)
+                    yield evolve_block(J, K, cfg(1, c.cells.tolist() * 2, J, Detect()), 3)
                 except Undetermined:
                     pass
 
@@ -243,7 +246,7 @@ def test_duality_verify_equals_reference_fold():
             t = int(rng.integers(b.t_max + 1))
             cfg0, w0 = b.rows[t]
             on_loads = rng.random() < 0.5
-            vals = list(w0.values if on_loads else cfg0.cells)
+            vals = (w0.values if on_loads else cfg0.cells).tolist()
             top = 5 if (b.K if on_loads else b.J) == INF else (b.K if on_loads else b.J)
             for i in rng.integers(len(vals), size=int(rng.integers(1, 4))):
                 vals[i] = int(rng.integers(top + 1))
@@ -256,12 +259,12 @@ def test_duality_verify_rejects_invalid_loads():
     b = evolve_block(2, 3, cfg(0, (2, 1, 0, 2, 1), 2), 3)
     w0 = b.carrier(1)
     for v in (4, -1):
-        loads = list(w0.values)
+        loads = w0.values.tolist()
         loads[2] = v
         with pytest.raises(InvalidCell, match=f"occupancy {v} outside"):
             duality_verify(with_row(b, 1, loads=loads))
     binf = evolve_block(1, INF, cfg(0, (1, 0, 1, 1), 1), 2)
-    loads = list(binf.carrier(0).values)
+    loads = binf.carrier(0).values.tolist()
     loads[1] = -1
     with pytest.raises(InvalidCell):
         duality_verify(with_row(binf, 0, loads=loads))

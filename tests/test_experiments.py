@@ -56,7 +56,7 @@ def test_sampler_row_density_and_reproducibility():
     block, meta = sample_stationary_block(1, INF, mu, L=4000, T_max=20, rng=5)
     assert meta["verdict"] == "Invariant"
     for t in (0, 10, 20):
-        row = block.config(t).array()
+        row = block.config(t).cells
         assert abs(row.mean() - 0.25) < 0.03
     block2, _ = sample_stationary_block(1, INF, mu, L=4000, T_max=20, rng=5)
     assert block2.rows[20][0] == block.rows[20][0]
@@ -80,7 +80,7 @@ def fold_block(J, K, c, t_max):
     J < K = inf the band is unbounded and no site is forced.  Zero-padded
     rows drain past the window end and are padded to the union window."""
     b, rows = c.boundary, []
-    start, cells = c.offset, list(c.cells)
+    start, cells = c.offset, c.cells.tolist()
     for t in range(t_max + 1):
         if not cells:
             return None
@@ -180,7 +180,7 @@ def test_sampler_j_equals_k_shifts_with_insertions():
     for t in range(10):
         row = block.config(t)
         nxt = block.config(t + 1)
-        assert nxt.cells[1:] == row.cells[:-1]
+        assert nxt.cells[1:].tolist() == row.cells[:-1].tolist()
         assert nxt.cells[0] == block.left_currents[t]
 
 
@@ -199,7 +199,7 @@ def test_sampler_warns_on_non_invariant():
 def _row1_pair_tv(J, K, mu, L, rng):
     oracle = invariance_oracle(J, K, mu, 2)
     block, _ = sample_stationary_block(J, K, mu, L=L, T_max=1, rng=rng)
-    row = block.config(1).array()
+    row = block.config(1).cells
     A = oracle.joint.shape[0]
     pairs = row[0:-1:2] * A + row[1::2]
     emp = np.bincount(pairs, minlength=A * A)[: A * A] / len(pairs)

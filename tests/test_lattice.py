@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from boxball import (
+    CarrierPath,
     Config,
     INF,
     config_from_text,
@@ -36,7 +37,7 @@ def test_construction_validation_edge_cases():
     # are rejected naming the first offending cell
     for J in (1, 3, INF):
         for cells in [(True,), (0, 1, True), (False, 0), (1, 0, 1)]:
-            assert cfg(0, cells, J).cells == cells
+            assert cfg(0, cells, J).cells.tolist() == list(cells)
         for cells, bad in [((np.int64(1),), "np.int64(1)"), ((0, np.int64(1)), "np.int64(1)"),
                            ((-1,), "-1"), ((1, 1.0), "1.0"), ((0, "1"), "'1'"),
                            ((1, None, -1), "None")]:
@@ -47,7 +48,7 @@ def test_construction_validation_edge_cases():
         with pytest.raises(InvalidCell) as err:
             cfg(0, (0, J, J + 1, -1), J)
         assert str(err.value) == f"cell value {J + 1} outside [0, {J}]"
-    assert cfg(0, (10 ** 6, 0), INF).cells == (10 ** 6, 0)
+    assert cfg(0, (10 ** 6, 0), INF).cells.tolist() == [10 ** 6, 0]
 
 
 def _raised(kind, f):
@@ -56,31 +57,63 @@ def _raised(kind, f):
     return str(err.value)
 
 
-def test_from_array_matches_tuple_constructor():
+def test_tuple_list_and_array_constructors_agree():
     rng = np.random.default_rng(3)
     for J in (1, 2, 5, 12, INF):
         for n in (1, 7, 300):
             arr = rng.integers(0, 13 if J == INF else J + 1, n)
             for boundary in (ZeroPad(), Detect(1), IidInvariant((1, 0))):
-                c = Config.from_array(-4, arr, J, boundary)
                 ref = Config(-4, tuple(arr.tolist()), J, boundary)
-                assert c == ref and hash(c) == hash(ref) and c.cells == ref.cells
-                assert all(type(v) is int for v in c.cells)
-        assert Config.from_array(2, np.array([0]), J) == Config(2, (0,), J)
-        # an out-of-range cell or an empty window raises as the tuple form does
+                for cells in (arr.tolist(), arr.astype(np.int64), arr.astype(np.int32)):
+                    c = Config(-4, cells, J, boundary)
+                    assert c == ref and hash(c) == hash(ref)
+                    assert c.cells.dtype == np.int64 and c.cells.tolist() == arr.tolist()
+        # an out-of-range cell or an empty window raises alike from every form
         for cells in ([0, -1, 3], [J + 1 if J != INF else -2, 0]):
-            arr = np.array(cells, dtype=np.int64)
-            got = _raised(InvalidCell, lambda: Config.from_array(0, arr, J))
-            assert got == _raised(InvalidCell, lambda: Config(0, tuple(cells), J))
-            assert got.startswith(f"cell value {cells[0] or cells[1]} outside")
-        with pytest.raises(InvalidParams, match="non-empty"):
-            Config.from_array(0, np.zeros(0, dtype=np.int64), J)
+            got = {_raised(InvalidCell, lambda: Config(0, form, J)) for form in (
+                tuple(cells), cells, np.array(cells, dtype=np.int64),
+                np.array(cells, dtype=np.int32))}
+            assert got == {f"cell value {cells[0] or cells[1]} outside [0, {J}]"}
+        for empty in ((), [], np.zeros(0, dtype=np.int64)):
+            with pytest.raises(InvalidParams, match="non-empty"):
+                Config(0, empty, J)
     with pytest.raises(InvalidParams):
-        Config.from_array(0, np.zeros(3, dtype=np.int64), 0)
-    # a non-int64 array goes through the tuple constructor's checks
-    assert Config.from_array(0, np.array([1, 2], dtype=np.int32), 2) == Config(0, (1, 2), 2)
+        Config(0, np.zeros(3, dtype=np.int64), 0)
+    # windows differing in offset, J, boundary or one cell differ
+    c = Config(0, (1, 2), 2)
+    for other in (Config(1, (1, 2), 2), Config(0, (1, 2), 3), Config(0, (1, 1), 2),
+                  Config(0, (1, 2), 2, Detect()), Config(0, (1, 2, 0), 2)):
+        assert c != other
+    # a non-integer array is checked cell by cell
     with pytest.raises(InvalidCell, match="cell value 1.5 outside"):
-        Config.from_array(0, np.array([1.5]), 2)
+        Config(0, np.array([1.5]), 2)
+
+
+def test_windows_are_read_only_copies():
+    arr = np.array([1, 0, 2], dtype=np.int64)
+    c = Config(0, arr, 2)
+    w = CarrierPath(0, arr, None)
+    for held in (c.cells, w.values):
+        assert not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[0] = 0
+    arr[:] = 0
+    assert c.cells.tolist() == [1, 0, 2] and w.values.tolist() == [1, 0, 2]
+    assert c == Config(0, (1, 0, 2), 2) and w == CarrierPath(0, (1, 0, 2), None)
+
+
+def test_cells_past_int64_raise_invalid_cell():
+    big = 10 ** 30
+    assert _raised(InvalidCell, lambda: Config(0, (big, 0), INF)) == \
+        f"cell value {big} does not fit in int64"
+    assert _raised(InvalidCell, lambda: Config(0, (0, big), 3)) == \
+        f"cell value {big} outside [0, 3]"
+    huge = np.array([2 ** 63], dtype=np.uint64)
+    assert _raised(InvalidCell, lambda: Config(0, huge, INF)) == \
+        f"cell value {2 ** 63} does not fit in int64"
+    with pytest.raises(InvalidCell):
+        CarrierPath(0, (0, -2 ** 63 - 1), None)
+    assert CarrierPath(0, (-2 ** 63, 2 ** 63 - 1), None).values.tolist() == [-2 ** 63, 2 ** 63 - 1]
 
 
 def test_text_round_trip():
@@ -120,7 +153,7 @@ def test_dtilde_is_integral_for_odd_and_even_J():
 def test_reverse_examples():
     c = cfg(1, (2, 0, 1), 3)
     rc = reverse(c)
-    assert rc.offset == -2 and rc.cells == (1, 0, 2)
+    assert rc.offset == -2 and rc.cells.tolist() == [1, 0, 2]
     single = cfg(0, (2,), 2)
     assert reverse(single).offset == 1
     assert reverse(reverse(c)) == c

@@ -235,6 +235,19 @@ def test_dual_measure_tail_relative_accuracy():
         k += 1
 
 
+def test_dual_measure_exact_k_inf_class_is_not_truncated():
+    # the load chain's closed class stays below the cap, so no clipped
+    # transition leaves it and the solve is exact: nu = mu, untruncated
+    for J in (2, 3):
+        nu = dual_measure(J, INF, bernoulli(0.25))
+        assert nu.weights == (0.75, 0.25) and not nu.truncated
+        assert all(type(w) is float for w in nu.weights)
+    # a class that reaches the cap keeps its cut tail and the flag
+    nu = dual_measure(1, INF, bernoulli(0.25))
+    assert nu.truncated and all(type(w) is float for w in nu.weights)
+    assert all(type(w) is float for w in dual_measure(1, 2, bernoulli(1 / 3)).weights)
+
+
 def test_dual_measure_requires_mrev():
     with pytest.raises(NotInMrev):
         dual_measure(2, 1, Pmf((0.0, 1.0, 0.0)))
