@@ -63,13 +63,9 @@ class InvalidPmf(BoxBallError):
     """Weights are not a probability vector."""
 
 
-class TruncationTooSmall(BoxBallError):
-    """Truncated chain leaks more mass than tolerated."""
-
-
 class NotInMrev(BoxBallError):
     """Measure does not admit two-sided canonical dynamics."""
 
 
 class StateSpaceTooLarge(BoxBallError):
-    """Exact enumeration would exceed the configured term budget."""
+    """Exact enumeration or a load chain would exceed its size budget."""

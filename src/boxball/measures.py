@@ -21,12 +21,13 @@ from .errors import (
     InvalidPmf,
     NotInMrev,
     StateSpaceTooLarge,
-    TruncationTooSmall,
 )
 from .local_rules import check_cell, local_map_array
 
 _SUM_TOL = 1e-12
 _TAIL_EPS = 1e-13   # tail mass cut from stbGeo and dual pmfs on infinite support
+_THETA_GRID = 32    # drift exponents tried for the K = inf tail bound
+_MAX_STATES = 1 << 13   # K = inf load states: a 0.5 GB dense kernel
 
 
 # ---------------------------------------------------------------------------
@@ -197,37 +198,60 @@ def detailed_balance_residual(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf) -> flo
 # ---------------------------------------------------------------------------
 
 
-def w_chain(J: Capacity, K: Capacity, mu: Pmf,
-            state_cap: Optional[int] = None,
-            leak_tol: float = 1e-9) -> np.ndarray:
+def w_chain(J: Capacity, K: Capacity, mu: Pmf) -> np.ndarray:
     """Row-stochastic kernel P[a, b] = mu({x : F2(x, a) = b}) of carrier
     loads under an i.i.d. configuration.
 
-    Infinite K is truncated at state_cap with transitions past the cap
-    clipped into it; the stationary flow through clipped transitions is the
-    leaked mass, and TruncationTooSmall signals a cap too small to justify.
+    Infinite K is truncated at the cap of ``_certified_cap``, past which the
+    untruncated chain's stationary law holds at most 1e-13; transitions past
+    the cap are clipped into it.
     """
-    if is_finite(K):
-        cap = int(K)
-    else:
-        if state_cap is None:
-            raise InvalidParams("state_cap required for K = inf")
-        cap = state_cap
+    cap = int(K) if is_finite(K) else _certified_cap(J, mu)
     xs = np.flatnonzero(mu.array())
     wx = mu.array()[xs]
     # loads a outer, occupancies x inner: each entry sums in x order
     b2 = _map_table(J, K, xs, np.arange(cap + 1))[1].T
     kernel = np.zeros((cap + 1, cap + 1))
     np.add.at(kernel, (np.arange(cap + 1)[:, None], np.minimum(b2, cap)), wx)
-    rows, cols = np.nonzero(b2 > cap)
-    clipped = np.bincount(rows, wx[cols], minlength=cap + 1)
-    if not is_finite(K) and clipped.any() and leak_tol != math.inf:
-        pi = _stationary_on_class(kernel, start=r_val(J, mu))
-        leaked = float(pi @ clipped)
-        if leaked > leak_tol:
-            raise TruncationTooSmall(
-                f"stationary flow {leaked} through the cap exceeds {leak_tol}")
     return kernel
+
+
+def _certified_cap(J: int, mu: Pmf) -> int:
+    """The smallest K = inf load cap n with pi[n, inf) <= _TAIL_EPS for the
+    untruncated stationary law pi, rounded up onto the loads the chain reaches.
+
+    As b' <= (b - J)^+ + 2a after a site (equal for b >= J), V(b) = e^(theta b) meets the
+    drift condition E V(b') <= phi V(b) + phi e^(theta J) 1{b < J}, phi = E e^(theta (2a - J))
+    (Meyn and Tweedie, Markov Chains and Stochastic Stability), so pi[n, inf) <= phi
+    e^(theta (J - n)) / (1 - phi) for theta in (0, theta*), phi(theta*) = 1, which exists
+    when 2 mean < J; minimised over a grid of theta.  When 2 max supp mu <= J the chain never
+    leaves [0, max supp mu]: the cap is one past it, outside the closed class."""
+    if not mrev_member(J, INF, mu):
+        raise NotInMrev(f"2 mean = {2 * mean_occupancy(mu)} >= J = {J}: no drift")
+    supp = mu.support()
+    if 2 * supp[-1] <= J:
+        return supp[-1] + 1
+    terms = [(math.log(mu.weights[a] / math.fsum(mu.weights)), 2 * a - J) for a in supp]
+
+    def phi(theta: float) -> float:
+        return math.fsum(math.exp(lw + theta * step) for lw, step in terms)
+
+    # phi(0) = 1, phi'(0) < 0, phi is convex, its top term alone is 1 at `above`
+    below, above = 0.0, -terms[-1][0] / terms[-1][1]
+    for _ in range(60):
+        mid = (below + above) / 2
+        below, above = (mid, above) if phi(mid) < 1 else (below, mid)
+    need = min((J + (math.log(p / (1 - p)) - math.log(_TAIL_EPS)) / theta
+                for theta in (below * k / _THETA_GRID for k in range(1, _THETA_GRID))
+                for p in (phi(theta),) if p < 1), default=math.inf)
+    # past J the chain reaches exactly the loads b1 + gZ, b1 the load after supp[-1]
+    # from supp[0] and g = gcd(2a - J): a cap off them would add a state outside the class
+    b1 = max(supp[0] + supp[-1] - J, 0) + supp[-1]
+    cap = max(math.ceil(min(need, _MAX_STATES)), J)
+    cap += (b1 - cap) % math.gcd(*(step for _, step in terms))
+    if cap >= _MAX_STATES:
+        raise StateSpaceTooLarge(f"K = inf dual needs load cap {need:.0f} > {_MAX_STATES - 1}")
+    return cap
 
 
 def _closed_class(kernel: np.ndarray, start: int) -> np.ndarray:
@@ -285,7 +309,7 @@ def _stationary_on_class(kernel: np.ndarray, start: int) -> np.ndarray:
     pi = np.zeros(m)
     pi[0] = 1.0
     for k in range(1, m):
-        pi[k] = pi[:k] @ P[:k, k]
+        pi[k] = math.fsum(pi[:k] * P[:k, k])
     out = np.zeros(kernel.shape[0])
     out[idx] = pi / pi.sum()
     return out
@@ -308,46 +332,25 @@ def dual_measure(J: Capacity, K: Capacity, mu: Pmf) -> Pmf:
     reaches from r(mu), solved by subtraction-free GTH state reduction
     (see ``_stationary_on_class``).
 
-    For K = inf the chain is truncated at a cap that starts at
-    max(32, 4 len(mu)) and doubles until the last max(4, cap/16) entries
-    of the solution sum below 1e-13.  That tail test is sound because
-    GTH computes tail entries to relative accuracy, not to an absolute
-    noise floor; the returned pmf is then cut where its remaining tail
-    drops below 1e-13, as in ``stbgeo``, and marked truncated.  Past-cap
-    transitions are clipped into the cap state, so a closed class without
-    it loses nothing: that solve is exact, and its pmf is cut only at its
-    trailing zeros and marked truncated only if mu is.
+    For K = inf the chain is solved once, at the cap of ``_certified_cap``,
+    past which a drift bound certifies that the untruncated law holds at
+    most 1e-13; the pmf is cut where its remaining tail drops below 1e-13,
+    as in ``stbgeo``, and marked truncated.  A closed class without the cap
+    state (GTH leaves it at 0) loses nothing to the clipping: its pmf is
+    exact, cut at its trailing zeros and marked truncated only if mu is.
     """
     if not mrev_member(J, K, mu):
         raise NotInMrev(f"measure with r={r_val(J, mu)} not reversible for "
                         f"BBS({J},{K})")
     if J == K:
         return Pmf(mu.weights, mu.truncated)
-    r = r_val(J, mu)
+    pi = _stationary_on_class(w_chain(J, K, mu), start=r_val(J, mu))
     if is_finite(K):
-        kernel = w_chain(J, K, mu)
-        pi = _stationary_on_class(kernel, start=r)
         return Pmf(tuple(pi.tolist()), mu.truncated)
-    cap = max(32, 4 * len(mu))
-    while True:
-        kernel = w_chain(J, K, mu, state_cap=cap, leak_tol=math.inf)
-        pi = _stationary_on_class(kernel, start=r)
-        if pi[-max(4, cap // 16):].sum() < _TAIL_EPS:
-            break
-        cap *= 2
-        if cap > 1 << 20:
-            raise TruncationTooSmall("stationary tail does not decay")
-    if not _closed_class(kernel, r)[-1]:
-        pi = pi[:int(np.flatnonzero(pi)[-1]) + 1]
-        return Pmf(tuple(pi.tolist()), mu.truncated)
-    # cut where the remaining tail is below _TAIL_EPS, keep the pmf truncated
-    cum = np.cumsum(pi[::-1])[::-1]
-    keep = np.nonzero(cum >= _TAIL_EPS)[0]
-    hi = int(keep[-1]) + 1 if len(keep) else 1
-    pi = pi[:hi]
-    if pi.sum() > 1.0:
-        pi = pi / pi.sum()
-    return Pmf(tuple(pi.tolist()), truncated=True)
+    cut = bool(pi[-1])      # else the class misses the cap state: exact
+    tail = np.cumsum(pi[::-1])[::-1]
+    pi = pi[:np.count_nonzero(tail >= _TAIL_EPS if cut else tail > 0)]
+    return Pmf(tuple(pi.tolist()), mu.truncated or cut)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ under ZeroPad, SeededCarrier and Detect(0) (with its CSV bytes and the
 at t_max = 60, over J, K in {1, 2, 3, 5, inf} and two seeds.  Integer outputs
 are stored as digests of their little-endian int64 bytes, so the manifest
 does not depend on the container type of a window; an expected error is
-stored by type and message.  ``tests/test_golden.py`` compares a fresh run
-with ``rows.json``.
+stored by type and message.  ``duals()`` stores the ``dual_measure`` weights
+and ``truncated`` flag over the stbGeo grid of acceptance criterion 7 and
+four K = inf measures as values, for a comparison within an absolute
+tolerance.  ``tests/test_golden.py`` compares a fresh run with ``rows.json``.
 
 Regenerate the stored manifest only on purpose, when an output is meant to
 change:
@@ -33,15 +35,18 @@ from boxball import (
     Detect,
     SeededCarrier,
     ZeroPad,
+    Pmf,
     bernoulli,
     canonical_carrier,
     capacity_str,
     detect_seed,
+    dual_measure,
     duality_verify,
     evolve_block,
     inverse_step,
     sample_stationary_block,
     speed_estimate,
+    stbgeo,
     step,
     sweep,
     uniform,
@@ -49,11 +54,15 @@ from boxball import (
 from boxball.blockio import write_block_csv
 from boxball.errors import BoxBallError
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+from stbgeo_grid import stbgeo_grid  # noqa: E402
+
 CAPS = (1, 2, 3, 5, INF)
 SEEDS = (11, 12)
 T_BLOCK = 6
 T_SPEED = 60
 STORED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "rows.json")
+DUAL = "dual_measure "     # key prefix of the float entries
 
 
 def digest(values) -> str:
@@ -128,16 +137,35 @@ def manifest(tmp: str) -> dict:
             for J in CAPS for K in CAPS for seed in SEEDS}
 
 
+def _dual_cases():
+    """(J, K, mu name, mu): the stbGeo grid, a heavier (1, inf) tail, a
+    support wider than J / 2 and a closed class below J."""
+    for J, K, m, alpha, beta, mu, _ in stbgeo_grid():
+        yield J, K, f"stbgeo m={m} alpha={alpha} beta={beta}", mu
+    yield 1, INF, "stbgeo m=1 alpha=0.95 beta=1.0", stbgeo(1, 0.95, 1.0, 1)
+    yield 5, INF, "0.3,0.3,0.2,0.2", Pmf((0.3, 0.3, 0.2, 0.2))
+    yield 3, INF, "bernoulli(0.25)", bernoulli(0.25)
+
+
+def duals() -> dict:
+    out = {}
+    for J, K, name, mu in _dual_cases():
+        nu = dual_measure(J, K, mu)
+        out[f"{DUAL}J={capacity_str(J)} K={capacity_str(K)} mu={name}"] = {
+            "weights": list(nu.weights), "truncated": nu.truncated}
+    return out
+
+
 def main(argv) -> int:
     if argv != ["--write"]:
         print(__doc__.strip().splitlines()[-1].strip(), file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        data = manifest(tmp)
+        data = {**duals(), **manifest(tmp)}
     with open(STORED, "w") as fh:      # one regime per line
         fh.write("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
                                      for k, v in data.items()) + "\n}\n")
-    print(f"wrote {STORED} ({len(data)} regimes)")
+    print(f"wrote {STORED} ({len(data)} entries)")
     return 0
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -495,6 +496,16 @@ def test_non_finite_weights_exit_3(capsys):
     for cmd, mu in (("classify", "nan,nan"), ("dual-measure", "0.5,nan")):
         assert run(["measure", cmd, "--J", "1", "--K", "2", "--mu", mu]) == 3
         assert "finite" in capsys.readouterr().err
+
+
+def test_near_edge_k_inf_dual_fails_fast(capsys):
+    # 2 mean = 0.9998 < J = 1: the certified cap needs about 128k load states
+    start = time.perf_counter()
+    code = run(["measure", "dual-measure", "--J", "1", "--K", "inf",
+                "--mu", "bernoulli:0.4999"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    assert time.perf_counter() - start < 5
 
 
 def test_import_loads_no_scipy():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -20,6 +18,7 @@ from boxball import (
     uniform,
     w_chain,
 )
+from boxball import measures
 from boxball.errors import (
     InvalidCell,
     InvalidParams,
@@ -31,8 +30,10 @@ from boxball.measures import (
     JEqualsKFamily,
     StbGeoFamily,
     TrivialShiftFamily,
+    VERDICT_INVARIANT,
     VERDICT_NOT_IN_MREV,
     VERDICT_NOT_INVARIANT,
+    _certified_cap,
     _closed_class,
     sample_pmf,
 )
@@ -151,16 +152,9 @@ def test_w_chain_examples():
     k = w_chain(2, 2, mu)
     assert np.allclose(k, np.tile(mu.array(), (3, 1)))
     # J = 1, K = inf: birth-death reflecting at 0
-    k = w_chain(1, INF, bernoulli(0.25), state_cap=64)
+    k = w_chain(1, INF, bernoulli(0.25))
     assert k[0, 0] == pytest.approx(0.75) and k[0, 1] == pytest.approx(0.25)
     assert k[3, 2] == pytest.approx(0.75) and k[3, 4] == pytest.approx(0.25)
-
-
-def test_w_chain_truncation_guard():
-    from boxball.errors import TruncationTooSmall
-
-    with pytest.raises(TruncationTooSmall):
-        w_chain(1, INF, bernoulli(0.25), state_cap=4)
 
 
 def test_dual_measure_examples():
@@ -226,8 +220,8 @@ def test_dual_measure_tail_relative_accuracy():
     # The dual of stbGeo(1, 0.9, 1, 1) on (1, inf) is geometric with ratio
     # 0.9.  Every entry above 1e-12 must match to relative accuracy: a
     # solve whose entries carry an absolute noise floor (~1e-15) passes an
-    # absolute-tolerance check yet gets the tail wrong, and the cap-doubling
-    # tail test then never settles.
+    # absolute-tolerance check yet gets the tail wrong, and the cut at a
+    # remaining tail of 1e-13 then falls in that noise.
     nu = dual_measure(1, INF, stbgeo(1, 0.9, 1, 1))
     k = 0
     while 0.1 * 0.9 ** k > 1e-12:
@@ -235,10 +229,50 @@ def test_dual_measure_tail_relative_accuracy():
         k += 1
 
 
+def test_k_inf_dual_is_solved_once(monkeypatch):
+    calls = []
+    solve = measures._stationary_on_class
+    monkeypatch.setattr(measures, "_stationary_on_class",
+                        lambda *args, **kw: calls.append(args) or solve(*args, **kw))
+    dual_measure(1, INF, stbgeo(1, 0.9, 1, 1))
+    assert len(calls) == 1
+
+
+def test_certified_cap_bounds_the_closed_form_tail():
+    # (1, inf): nu(k) = (1 - alpha) alpha^k, so nu[cap, inf) = alpha^cap;
+    # (2, inf) with m = 2: nu(2x) = (1 - alpha) alpha^x on even loads
+    for alpha in (0.5, 0.9, 0.95):
+        assert alpha ** _certified_cap(1, stbgeo(1, alpha, 1, 1)) <= 1e-13
+        cap = _certified_cap(2, stbgeo(1, alpha, 1, 2))
+        assert cap % 2 == 0 and alpha ** (cap // 2) <= 1e-13
+
+
+def test_certified_cap_lies_on_the_reached_loads():
+    # loads past J keep their residue mod gcd(2a - J); the cap must be one
+    # of them, or clipping into it joins states outside the closed class
+    for J, mu, off_lattice in [
+        (2, stbgeo(1, 0.9, 1, 2), slice(1, None, 2)),       # support {0, 2}: even
+        (4, Pmf((0.6, 0.0, 0.0, 0.4)), slice(2, None, 2)),  # {0, 3}: 0 and odd
+        (4, Pmf((0.0, 0.75, 0.0, 0.0, 0.25)), slice(0, None, 2)),  # {1, 4}: odd
+        (2, Pmf((0.5, 0.3, 0.2)), slice(0, 0)),             # {0, 1, 2}: every load
+        (5, Pmf((0.3, 0.3, 0.2, 0.2)), slice(0, 0)),
+    ]:
+        kernel = w_chain(J, INF, mu)
+        cls = _closed_class(kernel, r_val(J, mu))
+        assert cls[-1] and not cls[off_lattice].any(), (J, mu)
+
+
+def test_dual_measure_state_space_guard():
+    # 2 mean = 0.9998 < J = 1: the drift bound needs about 128k load states
+    for f in (dual_measure, w_chain):
+        with pytest.raises(StateSpaceTooLarge, match=r"load cap 12\d{4} > 8191"):
+            f(1, INF, bernoulli(0.4999))
+
+
 def test_dual_measure_exact_k_inf_class_is_not_truncated():
     # the load chain's closed class stays below the cap, so no clipped
     # transition leaves it and the solve is exact: nu = mu, untruncated
-    for J in (2, 3):
+    for J in (2, 3, 10 ** 6):
         nu = dual_measure(J, INF, bernoulli(0.25))
         assert nu.weights == (0.75, 0.25) and not nu.truncated
         assert all(type(w) is float for w in nu.weights)
@@ -253,6 +287,8 @@ def test_dual_measure_requires_mrev():
         dual_measure(2, 1, Pmf((0.0, 1.0, 0.0)))
     with pytest.raises(NotInMrev):
         dual_measure(1, INF, bernoulli(0.6))
+    with pytest.raises(NotInMrev):
+        w_chain(1, INF, bernoulli(0.5))
 
 
 def test_mrev_member_table():
@@ -388,6 +424,50 @@ def test_classify_rejects_perturbations():
             assert res.verdict == VERDICT_NOT_INVARIANT, (J, K, pert)
 
 
+def characterisation_sample():
+    """(J, K, mu) over J, K in {1, ..., 6, inf}: stbGeo measures, the same
+    perturbed by up to 2.5% per weight, and random measures; at K = inf the
+    random ones get a heavy atom at 0 or at the top, so every drift-bound
+    cap stays near 100 states."""
+    rng = np.random.default_rng(9)
+    caps = (1, 2, 3, 4, 5, 6, INF)
+    for J in caps:
+        for K in caps:
+            top = 4 if J == INF else J
+            for m in (1, 2):
+                if J != INF and J % m:
+                    continue
+                for alpha in (0.25, 0.5, 1.5):
+                    if alpha > 1 and INF in (J, K):
+                        continue
+                    beta = float(rng.choice((1.0, rng.uniform(0.3, 3.0))))
+                    mu = stbgeo(INF if J == INF else J // m, alpha, beta, m)
+                    yield J, K, mu
+                    w = mu.array() * (1 + 0.05 * (rng.random(len(mu)) - 0.5))
+                    yield J, K, Pmf(tuple(w / w.sum()), mu.truncated)
+            for _ in range(3):
+                w = rng.random(top + 1) * (rng.random(top + 1) < 0.7)
+                w[rng.integers(0, top + 1)] += 0.05
+                if K == INF:
+                    w[rng.choice((0, top))] += 2 * w.sum()
+                yield J, K, Pmf(tuple(w / w.sum()))
+
+
+def test_classify_matches_the_dual_measure_characterisation():
+    # the paper's characterisation: mu is invariant iff it is in M_rev and
+    # detailed balance holds against the solved dual measure
+    verdicts = []
+    for J, K, mu in characterisation_sample():
+        verdict = classify_invariant(J, K, mu).verdict
+        mrev = mrev_member(J, K, mu)
+        fits = mrev and detailed_balance_residual(J, K, mu, dual_measure(J, K, mu)) <= 1e-9
+        assert (verdict == VERDICT_INVARIANT) == fits, (J, K, mu, verdict)
+        assert (verdict == VERDICT_NOT_IN_MREV) == (not mrev), (J, K, mu, verdict)
+        verdicts.append(verdict)
+    assert len(verdicts) > 500 and min(map(verdicts.count, (
+        VERDICT_INVARIANT, VERDICT_NOT_INVARIANT, VERDICT_NOT_IN_MREV))) >= 10
+
+
 # ---------------------------------------------------------------------------
 # exact invariance oracle
 # ---------------------------------------------------------------------------
@@ -492,8 +572,9 @@ def outcome(f, *args):
 
 def table_cases():
     """(J, K, mu, duals) over J, K in {1, 2, 3, 5, inf}, not both infinite;
-    pmfs with interior zeros and a zero weight one past J, and duals of
-    several lengths up to K + 1."""
+    pmfs with interior zeros and a zero weight one past J, at K = inf a
+    geometric pmf whose load chain reaches its cap, and duals of several
+    lengths up to K + 1."""
     rng = np.random.default_rng(6)
     caps = (1, 2, 3, 5, INF)
     for J in caps:
@@ -506,6 +587,8 @@ def table_cases():
             mus = [Pmf((0.5,) + (0.0,) * (top - 1) + (0.5,)),   # interior zeros
                    Pmf(tuple(w / w.sum())),
                    Pmf(tuple(w / w.sum()) + (0.0,))]            # a zero past J
+            if K == INF:
+                mus.append(Pmf(tuple(0.5 ** a / (2 - 0.5 ** top) for a in range(top + 1))))
             kt = 4 if K == INF else K
             duals = [Pmf(tuple(v / v.sum())) for v in
                      (rng.random(n) for n in sorted({1, (kt + 2) // 2, kt + 1}))]
@@ -514,14 +597,19 @@ def table_cases():
 
 def test_table_matches_scalar_local_map():
     n_oracle = 0
+    compared = set()
     for J, K, mus, duals in table_cases():
         for mu in mus:
             for nu in duals:   # the full grid is validated: a zero past J is rejected
                 assert (outcome(detailed_balance_residual, J, K, mu, nu)
                         == outcome(ref_residual, J, K, mu, nu))
-            cap = 7 if K == INF else K
-            got = w_chain(J, K, mu, state_cap=cap, leak_tol=math.inf)
-            assert np.array_equal(got, ref_w_chain(J, K, mu, cap)), (J, K, mu)
+            if K == INF and not 2 * mean_occupancy(mu) < J:
+                with pytest.raises(NotInMrev):     # no drift: no cap exists
+                    w_chain(J, K, mu)
+            else:
+                got = w_chain(J, K, mu)     # at K = inf, at the cap it picks
+                assert np.array_equal(got, ref_w_chain(J, K, mu, len(got) - 1)), (J, K, mu)
+                compared.add((J, K))
             for nu in duals:
                 for k in (1, 2, 3):
                     rep = invariance_oracle(J, K, mu, k, dual=nu)
@@ -534,6 +622,7 @@ def test_table_matches_scalar_local_map():
                     assert rep.deviation == float(np.abs(ref - rep.expected).max())
                     n_oracle += 1
     assert n_oracle >= 400
+    assert {(J, INF) for J in (1, 2, 3, 5)} <= compared
 
 
 def test_table_validates_like_local_map():
