@@ -6,42 +6,29 @@ from .carrier import (
     CarrierPath,
     SeedReport,
     canonical_carrier,
-    carrier_from_path,
     detect_seed,
-    essential_boundary,
-    pitman_M,
     sweep,
     sweep_row,
-    verify_carrier,
 )
 from .evolution import (
     DualityReport,
     SpaceTimeBlock,
-    TaggedState,
     current_column,
     duality_verify,
     evolve_block,
     inverse_step,
     step,
-    tagged_evolve,
-    tagged_state,
 )
 from .lattice import (
-    BallLabels,
     Config,
     Detect,
     IidInvariant,
-    PathEncoding,
     SeededCarrier,
     ZeroPad,
     config_from_text,
-    label_balls,
-    path_decode,
-    path_encode,
     reverse,
-    shift,
 )
-from .local_rules import Case, CellPair, local_case, local_map, reduced_map, sigma_dual
+from .local_rules import CellPair, local_map
 from .measures import (
     ClassifyResult,
     Pmf,

@@ -8,8 +8,7 @@ read-only int64 copy of its loads.  Seed detection sweeps from the two ends
 of the admissible load band and forces the load where the sweeps meet.  For
 J < K = inf the band is unbounded and the carrier is a running maximum over
 the whole past, so no window forces it and a Detect row is
-``Undetermined``.  The reflected-path transform for J < K is kept as the
-paper's view of the same carrier.
+``Undetermined``.
 """
 
 from __future__ import annotations
@@ -20,18 +19,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .capacities import INF, Capacity, validate_capacity
-from .errors import FloorTooLarge, InvalidCell, InvalidParams, ParityViolation, Undetermined
+from .errors import FloorTooLarge, InvalidCell, InvalidParams, Undetermined
 from .lattice import (
     ArrayFields,
     BoundaryMode,
     Config,
     IidInvariant,
-    PathEncoding,
     SeededCarrier,
     ZeroPad,
     frozen_int64,
 )
-from .local_rules import local_map
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +67,6 @@ class CarrierPath(ArrayFields):
 class SeedReport:
     position: int
     forced_value: int
-
-
-def verify_carrier(J: Capacity, K: Capacity, c: Config, w: CarrierPath) -> bool:
-    """Check W_n = F2(eta_n, W_{n-1}) at every site where both are covered."""
-    start = w.offset if w.left_seed is not None else w.offset + 1
-    for n in range(start, w.end + 1):
-        if n < c.offset or n > c.end:
-            continue
-        prev = w.at(n - 1)
-        if local_map(J, K, (c.at(n), prev))[1] != w.at(n):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -199,43 +184,6 @@ def sweep_row(J: Capacity, K: Capacity, eta: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# reflected-path transform for J < K: the paper's view, used by the tests
-# ---------------------------------------------------------------------------
-
-
-def pitman_M(p: PathEncoding, gap: Capacity, left_init: int) -> Tuple[int, ...]:
-    """Clamped running maximum of the two-point average, in doubled units.
-
-    ``gap`` is 2(K - J) (INF for unbounded carriers), ``left_init`` the
-    doubled M value at offset-1.  The recursion
-    M_n = min(max(M_{n-1}, D~_n), D~_n + gap) is total, so any integral
-    left_init of the correct parity is accepted.
-    """
-    if gap != INF and (not isinstance(gap, int) or gap <= 0 or gap % 2):
-        raise InvalidParams(f"gap must be a positive even integer or INF, got {gap!r}")
-    dtil = p.dtilde()
-    m = left_init
-    out = []
-    for s in dtil:
-        m = min(max(m, s), s + gap)     # s + INF never binds
-        out.append(m)
-    return tuple(out)
-
-
-def carrier_from_path(p: PathEncoding, m2, J: Capacity) -> Tuple[int, ...]:
-    """Extract loads W_n = (M2_n - D_n + J)/2; raises on parity mismatch."""
-    out = []
-    for m, d in zip(m2, p.D):
-        num = m - d + J
-        if num % 2:
-            raise ParityViolation("carrier extraction non-integral; check left_init parity")
-        if num < 0:
-            raise ParityViolation("negative load extracted; left_init below the window")
-        out.append(num // 2)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # seed detection
 # ---------------------------------------------------------------------------
 
@@ -313,18 +261,3 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     i, w, _ = advance_row(J, K, c.cells, seed, c.boundary)
     return CarrierPath(c.offset + i, w[:len(c) - i], seed)
 
-
-def essential_boundary(J: Capacity, K: Capacity, c: Config,
-                       w: CarrierPath) -> Optional[int]:
-    """Largest window index N with min{J,K} <= eta_n + W_{n-1} <= max{J,K}
-    for every covered n <= N; None when the first covered cell already
-    fails (the infinite-system value would be below the window)."""
-    lo, hi = min(J, K), max(J, K)
-    start = w.offset if w.left_seed is not None else w.offset + 1
-    best: Optional[int] = None
-    for n in range(max(start, c.offset), min(w.end, c.end) + 1):
-        if lo <= c.at(n) + w.at(n - 1) <= hi:
-            best = n
-        else:
-            break
-    return best

@@ -9,26 +9,6 @@ class InvalidCell(BoxBallError):
     """Occupancy or load outside its capacity bound."""
 
 
-class EitherCapacityInfinite(BoxBallError):
-    """Operation requires both capacities finite."""
-
-
-class RangeViolation(BoxBallError):
-    """Reduction preconditions violated (floor too large or cell out of band)."""
-
-
-class JInfinite(BoxBallError):
-    """Path encodings are only defined for finite box capacity."""
-
-
-class InvalidIncrement(BoxBallError):
-    """Path increment incompatible with the box capacity."""
-
-
-class ParityViolation(BoxBallError):
-    """Carrier extraction from a path was non-integral."""
-
-
 class FloorTooLarge(BoxBallError):
     """Detect floor r does not satisfy 0 <= 2r < min{J, K}."""
 
@@ -45,14 +25,6 @@ class BoundaryNotReversible(BoxBallError):
 
 class OutOfWindow(BoxBallError):
     """Requested lattice site is not covered by the block."""
-
-
-class TrackedBallAbsent(BoxBallError):
-    """No ball available at the requested tracking position."""
-
-
-class WindowExceeded(BoxBallError):
-    """Tagged ball left the trusted part of the window."""
 
 
 class InvalidParams(BoxBallError):

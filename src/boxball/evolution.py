@@ -1,5 +1,5 @@
 """Time dynamics of the box-ball system: forward and backward steps,
-space-time blocks, boundary currents and order-preserving ball tracking.
+space-time blocks and boundary currents.
 
 A space-time block records occupancies and carrier loads over a rectangle of
 (site, time); the column of carrier values at a fixed site is the current,
@@ -22,19 +22,15 @@ from .errors import (
     InvalidCell,
     InvalidParams,
     OutOfWindow,
-    TrackedBallAbsent,
     Undetermined,
-    WindowExceeded,
 )
 from .lattice import (
     ArrayFields,
-    BallLabels,
     BoundaryMode,
     Config,
     Detect,
     IidInvariant,
     ZeroPad,
-    label_balls,
     reverse,
 )
 from .local_rules import check_cell, local_map_array
@@ -250,94 +246,3 @@ def _first(mask: np.ndarray) -> Tuple[int, int]:
     t, j = np.unravel_index(int(mask.argmax()), mask.shape)
     return int(t), int(j)
 
-
-# ---------------------------------------------------------------------------
-# order-preserving tagged dynamics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TaggedState:
-    """Configuration with ball identities; ``exited`` lists balls carried
-    past the right window edge (fixed-window modes only)."""
-
-    config: Config
-    labels: BallLabels
-    exited: Tuple[int, ...] = ()
-
-    def occupancies(self) -> Tuple[int, ...]:
-        return tuple(len(s) for s in self.labels.per_site)
-
-
-def tagged_state(c: Config) -> TaggedState:
-    return TaggedState(c, label_balls(c))
-
-
-def default_tracked_ball(s: TaggedState) -> int:
-    """The left-most ball at a site >= 1."""
-    for n in range(max(s.config.offset, 1), s.config.end + 1):
-        ids = s.labels.site(n)
-        if ids:
-            return ids[0]
-    raise TrackedBallAbsent("no ball at any site >= 1")
-
-
-def tagged_evolve(J: Capacity, K: Capacity, s: TaggedState, t_max: int,
-                  tracked: Optional[int] = None,
-                  ) -> Tuple[Tuple[Tuple[int, int], ...], TaggedState]:
-    """Evolve with ball identities: at each site the carrier queue followed
-    by the box contents is split so the first (T eta)_n balls stay put and
-    the remaining W_n travel on.  Returns the (site, rank) trajectory of the
-    tracked ball and the final state.
-
-    Balls injected by boundary currents receive fresh indices below all
-    existing ones (they come from the left).  The occupancy process equals
-    the plain dynamics exactly.
-    """
-    if tracked is None:
-        tracked = default_tracked_ball(s)
-    cfg = s.config
-    sites = [list(ids) for ids in s.labels.per_site]
-    offset = s.labels.offset
-    exited = list(s.exited)
-    next_low = min([0] + [i for grp in sites for i in grp])
-
-    def locate(ball: int) -> Tuple[int, int]:
-        for i, grp in enumerate(sites):
-            if ball in grp:
-                return offset + i, grp.index(ball) + 1
-        raise WindowExceeded(f"tracked ball {ball} left the window")
-
-    if not any(tracked in grp for grp in sites):
-        raise TrackedBallAbsent(f"ball {tracked} not present")
-    trajectory = [locate(tracked)]
-
-    cells = cfg.cells.tolist()
-    for t in range(t_max):
-        seed = _resolve_seed(cfg, t)
-        if seed is None:
-            raise BoundaryNotReversible("tagged dynamics need a seeded boundary mode")
-        _, w, nxt = advance_row(J, K, np.array(cells, dtype=np.int64), seed, cfg.boundary)
-        w, nxt = w.tolist(), nxt.tolist()
-        sites.extend([] for _ in range(len(nxt) - len(cells)))
-        cells += [0] * (len(nxt) - len(cells))
-        # fresh identities for injected balls, ordered within the batch
-        queue = list(range(next_low - seed, next_low))
-        next_low -= seed
-        w_prev = seed
-        for i in range(len(cells)):
-            pool = queue + sites[i]
-            keep = nxt[i]
-            assert len(pool) == cells[i] + w_prev
-            sites[i] = pool[:keep]
-            queue = pool[keep:]
-            w_prev = w[i]
-        exited.extend(queue)
-        if tracked in queue:
-            raise WindowExceeded(f"tracked ball {tracked} carried past the window")
-        cells = nxt
-        trajectory.append(locate(tracked))
-
-    cfg = Config(cfg.offset, cells, cfg.J, cfg.boundary)
-    labels = BallLabels(cfg.offset, tuple(tuple(grp) for grp in sites))
-    return tuple(trajectory), TaggedState(cfg, labels, tuple(exited))

@@ -249,7 +249,8 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
     the view set of d's parity: row t's new occupancy goes to ``nxt[t + 1]``, its new load
     over ``load[t]``.  Until row t joins at d = t its lane holds (-lo, -lo), a fixed point
     of the map.  The dtype is ``exchange_form``'s for the balls entered, checked per draw
-    chunk.  The ball's pool (entering queue, then box) follows ``tagged_evolve``."""
+    chunk.  The ball's pool (entering queue, then box) follows the per-ball
+    oracle ``tagged_evolve`` of ``tests/paper_views.py``."""
     currents = sample_pmf(nu, spec.stream("currents"), t_max)
     balls = int(currents.sum())
     lo, zero, _ = exchange_form(J, K, 0, balls)

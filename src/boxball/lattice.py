@@ -1,10 +1,8 @@
-"""Finite-window configurations, spatial operators and path encodings.
+"""Finite-window configurations, boundary modes and spatial reversal.
 
 A window stores occupancies for consecutive lattice sites starting at an
 absolute offset, as a read-only int64 array that the row kernels read as it
-is; the paper's views (ball labels, path encodings) read its cells as a
-list.  Path encodings keep the walk in doubled units so that the two-point
-running average stays integral for odd box capacities.
+is.
 """
 
 from __future__ import annotations
@@ -14,8 +12,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .capacities import Capacity, capacity_str, is_finite, validate_capacity
-from .errors import InvalidCell, InvalidIncrement, InvalidParams, JInfinite
+from .capacities import Capacity, validate_capacity
+from .errors import InvalidCell, InvalidParams
 
 
 # ---------------------------------------------------------------------------
@@ -147,127 +145,3 @@ def config_from_text(text: str, J: Capacity, boundary: BoundaryMode = ZeroPad())
 def reverse(c: Config) -> Config:
     """Spatial reversal: the cell at lattice index n moves to index 1 - n."""
     return Config(1 - c.end, c.cells[::-1], c.J, c.boundary)
-
-
-def shift(c: Config, k: int) -> Config:
-    """Left-shift by k (contents unchanged, offset decreases by k)."""
-    return Config(c.offset - k, c.cells, c.J, c.boundary)
-
-
-def same_occupancies(a: Config, b: Config) -> bool:
-    """Equality as zero-padded infinite configurations."""
-    lo = min(a.offset, b.offset)
-    hi = max(a.end, b.end)
-    return all(a.at(n) == b.at(n) for n in range(lo, hi + 1))
-
-
-def trim_zeros(c: Config) -> Config:
-    """Drop empty cells at both ends (keeping at least one cell)."""
-    cells = c.cells.tolist()
-    lo, hi = 0, len(cells)
-    while lo < hi - 1 and cells[lo] == 0:
-        lo += 1
-    while hi > lo + 1 and cells[hi - 1] == 0:
-        hi -= 1
-    return Config(c.offset + lo, cells[lo:hi], c.J, c.boundary)
-
-
-# ---------------------------------------------------------------------------
-# ball labels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BallLabels:
-    """Per-site ordered ball indices, increasing left-to-right and
-    bottom-to-top within a site."""
-
-    offset: int
-    per_site: Tuple[Tuple[int, ...], ...]
-
-    def total(self) -> int:
-        return sum(len(s) for s in self.per_site)
-
-    def site(self, n: int) -> Tuple[int, ...]:
-        if self.offset <= n < self.offset + len(self.per_site):
-            return self.per_site[n - self.offset]
-        return ()
-
-
-def label_balls(c: Config) -> BallLabels:
-    """Assign indices 1..N scanning sites left-to-right, bottom-to-top."""
-    nxt = 1
-    sites = []
-    for v in c.cells.tolist():
-        sites.append(tuple(range(nxt, nxt + v)))
-        nxt += v
-    return BallLabels(c.offset, tuple(sites))
-
-
-# ---------------------------------------------------------------------------
-# path encodings (doubled units)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathEncoding:
-    """The walk S of a configuration stored as D_n = 2 S_n.
-
-    ``base`` is D at offset-1; windows anchor at 0 and every downstream
-    formula is invariant under re-anchoring by a constant.
-    """
-
-    offset: int
-    D: Tuple[int, ...]
-    base: int = 0
-
-    def __len__(self) -> int:
-        return len(self.D)
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.D) - 1
-
-    def dtilde(self) -> Tuple[int, ...]:
-        """Two-point average of D: D~_n = (D_{n-1} + D_n) / 2, always integral."""
-        out = []
-        prev = self.base
-        for d in self.D:
-            s = prev + d
-            if s % 2:
-                raise InvalidIncrement("odd two-point sum in doubled units")
-            out.append(s // 2)
-            prev = d
-        return tuple(out)
-
-
-def path_encode(c: Config) -> PathEncoding:
-    """Encode a configuration as the doubled walk with increments 2(J - 2 eta)."""
-    if not is_finite(c.J):
-        raise JInfinite("path encoding requires finite J")
-    J = c.J
-    out = []
-    d = 0
-    for v in c.cells.tolist():
-        d += 2 * (J - 2 * v)
-        out.append(d)
-    return PathEncoding(c.offset, tuple(out))
-
-
-def path_decode(p: PathEncoding, J: Capacity, boundary: BoundaryMode = ZeroPad()) -> Config:
-    """Inverse of path_encode on the same window."""
-    if not is_finite(J):
-        raise JInfinite("path decoding requires finite J")
-    cells = []
-    prev = p.base
-    for d in p.D:
-        inc = d - prev
-        num = 2 * J - inc
-        if num % 4:
-            raise InvalidIncrement(f"increment {inc} invalid for J={capacity_str(J)}")
-        v = num // 4
-        if v < 0 or v > J:
-            raise InvalidIncrement(f"increment {inc} outside [-2J, 2J] for J={J}")
-        cells.append(v)
-        prev = d
-    return Config(p.offset, cells, J, boundary)

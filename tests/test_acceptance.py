@@ -34,13 +34,8 @@ from boxball import (
     local_map,
     mean_occupancy,
     mrev_member,
-    path_decode,
-    path_encode,
-    pitman_M,
     r_val,
-    reduced_map,
     sample_stationary_block,
-    sigma_dual,
     speed_estimate,
     stbgeo,
     step,
@@ -49,9 +44,17 @@ from boxball import (
     uniform,
 )
 from boxball.capacities import is_finite
-from boxball.lattice import PathEncoding, same_occupancies
 from boxball.measures import StbGeoFamily, VERDICT_INVARIANT, VERDICT_NOT_INVARIANT
 
+from paper_views import (
+    PathEncoding,
+    path_decode,
+    path_encode,
+    pitman_M,
+    reduced_map,
+    same_occupancies,
+    sigma_dual,
+)
 from stbgeo_grid import stbgeo_grid
 
 

@@ -10,26 +10,17 @@ from boxball import (
     SeedReport,
     SeededCarrier,
     canonical_carrier,
-    carrier_from_path,
     detect_seed,
-    essential_boundary,
     evolve_block,
     inverse_step,
     local_map,
-    path_encode,
-    pitman_M,
     step,
     sweep,
     sweep_row,
-    verify_carrier,
 )
-from boxball.errors import (
-    FloorTooLarge,
-    InvalidCell,
-    InvalidParams,
-    ParityViolation,
-    Undetermined,
-)
+from boxball.errors import FloorTooLarge, InvalidCell, InvalidParams, Undetermined
+
+from paper_views import carrier_from_path, path_encode, pitman_M, verify_carrier
 
 
 def cfg(offset, cells, J, boundary=None):
@@ -112,7 +103,7 @@ def test_pitman_snaps_after_fluctuation():
 def test_pitman_parity_violation():
     c = cfg(1, (1, 0), 1)
     p = path_encode(c)
-    with pytest.raises(ParityViolation):
+    with pytest.raises(ValueError, match="non-integral"):
         carrier_from_path(p, pitman_M(p, INF, left_init=0), 1)  # wrong parity
 
 
@@ -314,7 +305,7 @@ def test_detect_seed_never_later_than_paper_rule():
 
 
 # ---------------------------------------------------------------------------
-# canonical carrier and essential boundary
+# canonical carrier
 # ---------------------------------------------------------------------------
 
 
@@ -372,23 +363,11 @@ def test_canonical_running_max_undetermined():
                 call()
 
 
-def test_essential_boundary():
-    # J = K: reported but not used for canonicity; here eta_n + eta_{n-1}
-    # stays at J for the first two cells only
-    c = cfg(0, (2, 0, 1), 2)
-    w = canonical_carrier(2, 2, c)
-    assert essential_boundary(2, 2, c, w) == 1
-
-    # zero-padded (3,2) window: violated at the first cell
-    c = cfg(1, (1, 0, 2), 3)
-    w = canonical_carrier(3, 2, c)
-    assert essential_boundary(3, 2, c, w) is None
-
-    # eta = 1, carrier = 1 on (2,4): holds through the window end
+def test_verify_carrier_on_flat_window():
+    # eta = 1, carrier = 1 on (2,4): the swept carrier holds at every site
     c = cfg(0, (1, 1, 1, 1), 2)
     w, _ = sweep(2, 4, c, 1)
     assert verify_carrier(2, 4, c, w)
-    assert essential_boundary(2, 4, c, w) == c.end
 
 
 @settings(max_examples=60, deadline=None)

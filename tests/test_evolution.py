@@ -13,27 +13,16 @@ from boxball import (
     duality_verify,
     evolve_block,
     inverse_step,
-    path_encode,
-    pitman_M,
     sample_stationary_block,
     step,
-    tagged_evolve,
-    tagged_state,
     uniform,
 )
-from boxball.errors import (
-    BoundaryNotReversible,
-    InvalidCell,
-    OutOfWindow,
-    TrackedBallAbsent,
-    Undetermined,
-    WindowExceeded,
-)
+from boxball.errors import BoundaryNotReversible, InvalidCell, OutOfWindow, Undetermined
 from boxball.evolution import DualityReport
-from boxball.lattice import same_occupancies, trim_zeros
 from boxball.local_rules import local_map
 
 from block_rows import block_from_rows
+from paper_views import path_encode, pitman_M, same_occupancies, tagged_evolve, trim_zeros
 
 
 def cfg(offset, cells, J, boundary=None):
@@ -293,25 +282,20 @@ def test_intertwining_column_shift():
 
 
 def test_tagged_fifo_pair():
-    s = tagged_state(cfg(1, (1, 1), 1))
-    traj, final = tagged_evolve(1, INF, s, 1)
-    assert traj == ((1, 1), (3, 1))
-    assert final.labels.site(3) == (1,) and final.labels.site(4) == (2,)
+    traj, final = tagged_evolve(1, INF, cfg(1, (1, 1), 1), 1)
+    assert traj == [(1, 1), (3, 1)]
+    assert final == [[], [], [1], [2]]       # sites 1..4
 
 
 def test_tagged_swap_with_finite_carrier():
-    s = tagged_state(cfg(1, (2, 0), 2))
-    traj, final = tagged_evolve(2, 1, s, 1)
-    assert traj == ((1, 1), (1, 1))          # ball 1 stays
-    assert final.labels.site(1) == (1,)
-    assert final.labels.site(2) == (2,)      # ball 2 carried one site
+    traj, final = tagged_evolve(2, 1, cfg(1, (2, 0), 2), 1)
+    assert traj == [(1, 1), (1, 1)]          # ball 1 stays
+    assert final == [[1], [2]]               # ball 2 carried one site
 
 
 def test_tagged_j_equals_k_moves_every_ball():
-    s = tagged_state(cfg(0, (2, 1), 2))
-    traj, final = tagged_evolve(2, 2, s, 1, tracked=3)
-    assert final.labels.site(1) == (1, 2)
-    assert final.labels.site(2) == (3,)
+    traj, final = tagged_evolve(2, 2, cfg(0, (2, 1), 2), 1, tracked=3)
+    assert final == [[], [1, 2], [3]]        # sites 0..2
     assert traj[-1] == (2, 1)
 
 
@@ -322,18 +306,16 @@ def test_tagged_occupancy_agreement_and_order():
             c = random_zero_padded(rng, J, n_max=10)
             if c.ball_count() == 0 or all(c.at(n) == 0 for n in range(max(1, c.offset), c.end + 1)):
                 continue
-            s = tagged_state(c)
-            traj, final = tagged_evolve(J, K, s, 3)
+            traj, final = tagged_evolve(J, K, c, 3)
             expect = c
             for _ in range(3):
                 expect = step(J, K, expect)
-            assert same_occupancies(
-                Config(final.config.offset, final.occupancies(), c.J), expect)
+            assert same_occupancies(Config(c.offset, [len(ids) for ids in final], c.J), expect)
             # order preservation: positions sorted by ball index
             placed = []
-            for i, ids in enumerate(final.labels.per_site):
+            for n, ids in enumerate(final, c.offset):
                 for rank, ball in enumerate(ids):
-                    placed.append((ball, (final.labels.offset + i, rank)))
+                    placed.append((ball, (n, rank)))
             placed.sort()
             coords = [pos for _, pos in placed]
             assert coords == sorted(coords)
@@ -341,27 +323,20 @@ def test_tagged_occupancy_agreement_and_order():
 
 def test_tagged_with_injected_balls():
     c = cfg(1, (0, 1, 0, 0, 0, 0, 0, 0), 1, IidInvariant((1, 1, 0)))
-    s = tagged_state(c)
-    traj, final = tagged_evolve(1, INF, s, 3)
+    traj, final = tagged_evolve(1, INF, c, 3)
     assert traj[0] == (2, 1)
     sites = [p[0] for p in traj]
     assert sites == sorted(sites)  # balls only move right
     # injected balls carry lower indices and stay behind the tracked one
     tracked_site = traj[-1][0]
-    for i, ids in enumerate(final.labels.per_site):
+    for n, ids in enumerate(final, c.offset):
         for ball in ids:
             if ball < 1:
-                assert final.labels.offset + i <= tracked_site
+                assert n <= tracked_site
 
 
 def test_tagged_errors():
-    with pytest.raises(TrackedBallAbsent):
-        tagged_state_and_evolve_empty()
-    s = tagged_state(cfg(1, (1,), 1, IidInvariant((0, 0, 0))))
-    with pytest.raises(WindowExceeded):
-        tagged_evolve(1, INF, s, 3)
-
-
-def tagged_state_and_evolve_empty():
-    s = tagged_state(cfg(1, (0, 0), 1))
-    tagged_evolve(1, 2, s, 1)
+    with pytest.raises(ValueError, match="no ball at any site >= 1"):
+        tagged_evolve(1, 2, cfg(1, (0, 0), 1), 1)
+    with pytest.raises(ValueError, match="not in the window"):
+        tagged_evolve(1, INF, cfg(1, (1,), 1, IidInvariant((0, 0, 0))), 3)

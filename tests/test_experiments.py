@@ -25,8 +25,6 @@ from boxball import (
     sample_stationary_block,
     speed_estimate,
     stbgeo,
-    tagged_evolve,
-    tagged_state,
     uniform,
 )
 from boxball import experiments
@@ -34,6 +32,8 @@ from boxball.capacities import is_finite
 from boxball.errors import InvalidParams, Undetermined
 from boxball.local_rules import exchange_form, exchange_map, local_map, local_map_array
 from boxball.measures import sample_pmf
+
+from paper_views import tagged_evolve
 
 
 def test_rng_substreams_reproducible_and_distinct():
@@ -317,7 +317,7 @@ def test_speed_tracker_matches_tagged_evolve(monkeypatch):
             currents = sample_pmf(nu, spec.stream("currents"), t_max)
             c = Config(1, tuple(int(v) for v in eta), J,
                        IidInvariant(tuple(int(v) for v in currents)))
-            traj, _ = tagged_evolve(J, K, tagged_state(c), t_max)
+            traj, _ = tagged_evolve(J, K, c, t_max)
             assert traj[0][0] == int(rec["x0"]), (J, K)
             assert traj[-1][0] == int(rec["x_final"]), (J, K)
 

@@ -1,9 +1,27 @@
-"""Every module of the package uses each name it imports (no linter needed)."""
+"""Every module of the package uses each name it imports, and every public
+definition of the package has a caller (no linter needed)."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "boxball"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "boxball"
+
+# library entry points documented in README that neither the CLI nor the
+# benchmark calls; the scalar local_map is the reference of every kernel
+ENTRY_POINTS = {"canonical_carrier", "detect_seed", "local_map", "sweep"}
+
+
+def quoted_names(node):
+    """Names inside a string constant that parses as an expression, such as
+    the quoted annotation -> "Config"."""
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return set()
+    try:
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                if isinstance(n, ast.Name)}
+    except (SyntaxError, ValueError):
+        return set()
 
 
 def unused_imports(source: str):
@@ -19,14 +37,37 @@ def unused_imports(source: str):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # quoted annotations such as -> "Config"
-            try:
-                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
-                            if isinstance(n, ast.Name))
-            except (SyntaxError, ValueError):
-                pass
+        else:
+            used |= quoted_names(node)
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def referenced(node):
+    """Names that ``node`` reads: bare, as an attribute or quoted."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        else:
+            found |= quoted_names(n)
+    return found
+
+
+def uncalled(modules, callers):
+    """module.name for each public top-level function or class of the
+    ``modules`` sources (by module name) that no other top-level statement
+    of theirs and no ``callers`` source refers to."""
+    used = set().union(*(referenced(ast.parse(src)) for src in callers))
+    defined = {}
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_def and not node.name.startswith("_"):
+                defined[node.name] = module
+            used |= referenced(node) - ({node.name} if is_def else set())
+    return sorted(f"{m}.{name}" for name, m in defined.items() if name not in used)
 
 
 def test_no_unused_imports():
@@ -41,6 +82,25 @@ def test_unused_import_check_sees_names():
     src = ("from typing import Optional, Tuple\nimport numpy as np\n"
            "def f(x) -> 'Tuple[int, ...]':\n    return np.asarray(x)\n")
     assert unused_imports(src) == [(1, "Optional")]
+
+
+def test_every_public_definition_has_a_caller():
+    # a caller is another definition of the package or the benchmark; the
+    # tests' own references do not count
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    callers = [p.read_text() for p in (ROOT / "perfbench").glob("*.py")]
+    assert modules and callers
+    missing = [name for name in uncalled(modules, callers)
+               if name.partition(".")[2] not in ENTRY_POINTS]
+    assert missing == []
+
+
+def test_caller_check_sees_calls_attributes_and_quotes():
+    modules = {"a": "def f():\n    return g()\ndef g():\n    return f\ndef h(): pass\n"
+                    "def _p(): pass\nclass C: pass\nclass D: pass\n",
+               "b": "x: 'C' = 1\n"}
+    assert uncalled(modules, ["import a\na.h()\n"]) == ["a.D"]
+    assert uncalled(modules, []) == ["a.D", "a.h"]
 
 
 def scipy_imports(source: str):

@@ -7,14 +7,12 @@ from boxball import (
     Config,
     INF,
     config_from_text,
-    label_balls,
-    path_decode,
-    path_encode,
     reverse,
-    shift,
 )
-from boxball.errors import InvalidCell, InvalidParams, JInfinite
-from boxball.lattice import Detect, IidInvariant, ZeroPad, same_occupancies, trim_zeros
+from boxball.errors import InvalidCell, InvalidParams
+from boxball.lattice import Detect, IidInvariant, ZeroPad
+
+from paper_views import label_balls, path_decode, path_encode, same_occupancies, trim_zeros
 
 
 def cfg(offset, cells, J):
@@ -128,7 +126,7 @@ def test_path_encode_examples():
     assert path_encode(cfg(1, (1, 1, 0, 0), 1)).D == (-2, -4, -2, 0)
     assert path_encode(cfg(1, (0, 0), 3)).D == (6, 12)
     assert path_encode(cfg(1, (1,), 2)).D == (0,)
-    with pytest.raises(JInfinite):
+    with pytest.raises(ValueError, match="finite J"):
         path_encode(cfg(1, (1,), INF))
 
 
@@ -159,28 +157,11 @@ def test_reverse_examples():
     assert reverse(reverse(c)) == c
 
 
-def test_shift():
-    c = cfg(3, (1, 0), 1)
-    assert shift(c, 2).offset == 1
-    assert shift(c, -5).offset == 8
-    assert shift(shift(c, 4), -4) == c
-
-
-def test_reverse_shift_commutation():
-    # R theta = theta^{-1} R at the window level
-    c = cfg(-1, (1, 2, 0, 2), 2)
-    assert reverse(shift(c, 3)) == shift(reverse(c), -3)
-
-
 def test_label_balls():
     c = cfg(1, (2, 0, 1), 2)
-    lab = label_balls(c)
-    assert lab.site(1) == (1, 2)
-    assert lab.site(2) == ()
-    assert lab.site(3) == (3,)
-    assert lab.total() == 3
-    assert label_balls(cfg(5, (0, 0), 1)).total() == 0
-    assert label_balls(cfg(1, (0, 3), 3)).site(2) == (1, 2, 3)
+    assert label_balls(c) == [[1, 2], [], [3]]     # sites 1, 2, 3
+    assert label_balls(cfg(5, (0, 0), 1)) == [[], []]
+    assert label_balls(cfg(1, (0, 3), 3)) == [[], [1, 2, 3]]
 
 
 def test_zero_pad_helpers():
