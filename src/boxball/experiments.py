@@ -110,9 +110,21 @@ def _chi2_p(counts: np.ndarray, probs: np.ndarray) -> float:
 
 
 def _chi2_sf(x: float, df: int) -> float:
-    """``scipy.stats.chi2.sf(x, df)``, read from the function that it calls."""
-    from scipy.special import chdtrc    # on first use, not with the package
-    return float(chdtrc(df, x))
+    """Chi-square upper tail P(X > x), X ~ chi2(df), for an integer df >= 1.
+    With h = x/2 and k running over df/2 - 1, df/2 - 2, ... >= 0, it is
+    sum_k h^k e^(-h) / Gamma(k + 1): for even df the Poisson tail, for odd
+    df the half-integer series, plus erfc(sqrt(h)).  Each term is positive
+    and formed in log space, so nothing cancels or overflows; the sum's
+    rounding, a few ulps past 1 for large df and small x, is clipped."""
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    log_h, s = math.log(h), 0.5 * (df % 2)
+    terms = [math.exp((s + i) * log_h - h - math.lgamma(s + i + 1))
+             for i in range(df // 2)]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(h)))
+    return min(1.0, math.fsum(terms))
 
 
 def _tv(counts: np.ndarray, probs: np.ndarray) -> float:
@@ -249,15 +261,25 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
     the view set of d's parity: row t's new occupancy goes to ``nxt[t + 1]``, its new load
     over ``load[t]``.  Until row t joins at d = t its lane holds (-lo, -lo), a fixed point
     of the map.  The dtype is ``exchange_form``'s for the balls entered, checked per draw
-    chunk.  The ball's pool (entering queue, then box) follows the per-ball
-    oracle ``tagged_evolve`` of ``tests/paper_views.py``."""
+    chunk.
+
+    The ball is found by its rank.  A site's pool is its entering queue, then
+    its box balls, and the first a' of it stay, so no ball overtakes another,
+    and the balls entering at the left boundary pass in ahead of every ball
+    already at a site >= 1.  At time t_max the ball is therefore the
+    (1 + sum of the currents)-th ball counted from site 1: the tracker adds
+    up row t_max's new cells (lane t_max - 1) until the count reaches that
+    rank.  ``tagged_evolve`` of ``tests/paper_views.py``, which moves every
+    ball, checks this."""
     currents = sample_pmf(nu, spec.stream("currents"), t_max)
     balls = int(currents.sum())
+    rank = balls + 1
     lo, zero, _ = exchange_form(J, K, 0, balls)
     entering = (2 * currents - lo).tolist()
     state = np.full((4, t_max + 1), -lo, dtype=zero.dtype)    # occ, nxt, load, q
-    row = -1    # row of the ball's next cell; -1 until the ball is found
-    rank = d = 0    # rank: place in the pool from the first box ball
+    x0 = None
+    count = d = 0    # count: balls of row t_max at sites 1 .. d - t_max + 2
+    last = t_max - 1
     for chunk in _draw_sites(mu, spec.stream("window")):
         balls += sum(chunk)
         _, zero, top = exchange_form(J, K, t_max, balls)
@@ -270,22 +292,16 @@ def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
             A[0] = 2 * site0 - lo
             if d < t_max:
                 load[d] = entering[d]
-            if row < 0 and site0 > 0:
-                row, rank, x0 = 0, 1, d + 1
-            if row >= 0:
-                pos = ((load.item(row) + lo) >> 1) + rank
+            if x0 is None and site0:
+                x0 = d + 1
             exchange_map(J, K, *view)
-            if row >= 0:
-                if 2 * pos - lo <= A_out.item(row):
-                    row, rank = row + 1, pos
-                    if row == t_max:    # cells: min(e + 1, t_max) summed over e <= d
-                        x_final = d - t_max + 2
-                        return {"replica": float(spec.replica_index), "x0": float(x0),
-                                "x_final": float(x_final), "ratio": x_final / t_max,
-                                "window": float(d + 1), "attempt": 0.0,
-                                "cells": float(t_max * (2 * d - t_max + 3) // 2)}
-                else:       # the pool's tail rides on, ahead of the next box
-                    rank -= (A.item(row) + lo) >> 1
+            count += (A_out.item(last) + lo) >> 1
+            if count >= rank:   # cells: min(e + 1, t_max) summed over e <= d
+                x_final = d - t_max + 2
+                return {"replica": float(spec.replica_index), "x0": float(x0),
+                        "x_final": float(x_final), "ratio": x_final / t_max,
+                        "window": float(d + 1), "attempt": 0.0,
+                        "cells": float(t_max * (2 * d - t_max + 3) // 2)}
             d += 1
 
 

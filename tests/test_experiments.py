@@ -225,12 +225,33 @@ def test_invariance_mc_test_accepts_invariant():
                              replicas=2, rng=123, significance=1e-4)
     assert rep.passed
     assert max(rep.row_tv) < 0.05
-    # the p-values equal scipy.stats' chi-square tail exactly
+    # the p-values are scipy.stats' chi-square tail to 1e-12 relative
     fisher = -2.0 * sum(math.log(r["marginal_p"]) for r in rep.per_replica)
-    assert rep.marginal_p == stats.chi2.sf(fisher, df=4)
+    assert rep.marginal_p == pytest.approx(stats.chi2.sf(fisher, df=4), rel=1e-12)
     counts, probs = np.array([50, 30, 20]), np.array([0.4, 0.35, 0.25])
     chi2 = ((counts - 100 * probs) ** 2 / (100 * probs)).sum()
-    assert experiments._chi2_p(counts, probs) == stats.chi2.sf(chi2, df=2)
+    assert experiments._chi2_p(counts, probs) == pytest.approx(
+        stats.chi2.sf(chi2, df=2), rel=1e-12)
+
+
+def test_chi2_sf_matches_scipy_on_a_grid():
+    # df 1..200, x from 0 to tails near the double range's floor; odd df
+    # end in erfc, even df are a Poisson tail
+    xs = [0.0, 1e-300, 1e-12, 1e-6, 1e-3, *np.geomspace(0.01, 1500, 40).tolist()]
+    for df in range(1, 201):
+        grid = xs + [df - 1.0, float(df), df + 3 * math.sqrt(2 * df)]
+        for x, ref in zip(grid, stats.chi2.sf(grid, df).tolist()):
+            got = experiments._chi2_sf(x, df)
+            assert 0.0 <= got <= 1.0
+            if ref > 1e-290:
+                assert got == pytest.approx(ref, rel=1e-12), (df, x)
+            else:
+                assert got < 1e-280, (df, x)
+    for x in (1e-9, 0.5, 3.0, 40.0, 700.0):
+        assert experiments._chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)),
+                                                            rel=1e-15)
+        assert experiments._chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-15)
+    assert experiments._chi2_sf(-1.0, 3) == 1.0
 
 
 def test_invariance_mc_test_rejects_non_invariant():

@@ -104,33 +104,24 @@ def test_caller_check_sees_calls_attributes_and_quotes():
 
 
 def scipy_imports(source: str):
-    """(innermost enclosing function or None, line) for each scipy import."""
+    """Line of each scipy import, at any depth."""
     found = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append((func, child.lineno))
-            visit(child, func)
-
-    visit(ast.parse(source), None)
-    return found
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.append(node.lineno)
+    return sorted(found)
 
 
-def test_scipy_imported_only_by_chi2_sf():
-    # the chi-square tail is scipy's one caller; a start or a load-chain
-    # solve imports no scipy module
+def test_no_module_imports_scipy():
+    # the runtime needs numpy alone; scipy is a test dependency
     assert scipy_imports("import scipy.sparse\nclass A:\n    def f(self):\n"
-                         "        from scipy import special\n") == [(None, 1), ("f", 4)]
-    found = [f"{p.stem}.{func}" for p in sorted(SRC.glob("*.py"))
-             for func, _ in scipy_imports(p.read_text())]
-    assert found == ["experiments._chi2_sf"]
+                         "        from scipy import special\n") == [1, 4]
+    found = {p.name: lines for p in sorted(SRC.glob("*.py"))
+             if (lines := scipy_imports(p.read_text()))}
+    assert found == {}
