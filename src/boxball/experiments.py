@@ -243,66 +243,111 @@ class SpeedEstimate:
 
 
 _DRAW_CHUNK = 256
+# replicas x t_max lanes in one wavefront: enough to take the default 32
+# replicas at t_max = 2000 in one, and its arrays stay within a few MB
+_LANE_BUDGET = 2 ** 16
 
 
-def _draw_sites(mu: Pmf, rng: np.random.Generator) -> Iterator[List[int]]:
-    """Initial-row sites 1, 2, ... as lists of ``_DRAW_CHUNK`` sites; the
+def _draw_sites(mu: Pmf, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Initial-row sites 1, 2, ... in arrays of ``_DRAW_CHUNK`` sites; the
     chunks equal one long ``sample_pmf`` draw from the same generator."""
     while True:
-        yield sample_pmf(mu, rng, _DRAW_CHUNK).tolist()
+        yield sample_pmf(mu, rng, _DRAW_CHUNK)
 
 
-def _track_one_replica(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf,
-                       t_max: int, spec: RngSpec) -> Dict[str, float]:
-    """Track the left-most ball at site >= 1 for t_max steps, filling the
-    block one anti-diagonal t + n = d at a time: cell (t, n) takes its
-    occupancy from (t-1, n) and its load from (t, n-1), so a diagonal is one
-    local map over the t_max row lanes in the doubled state (2a - lo, 2b - lo), through
-    the view set of d's parity: row t's new occupancy goes to ``nxt[t + 1]``, its new load
-    over ``load[t]``.  Until row t joins at d = t its lane holds (-lo, -lo), a fixed point
-    of the map.  The dtype is ``exchange_form``'s for the balls entered, checked per draw
-    chunk.
+def _track_replicas(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf, t_max: int,
+                    specs: Sequence[RngSpec]) -> List[Dict[str, float]]:
+    """The records of the replicas of ``specs``, tracked in one wavefront.
 
-    The ball is found by its rank.  A site's pool is its entering queue, then
-    its box balls, and the first a' of it stay, so no ball overtakes another,
-    and the balls entering at the left boundary pass in ahead of every ball
-    already at a site >= 1.  At time t_max the ball is therefore the
-    (1 + sum of the currents)-th ball counted from site 1: the tracker adds
-    up row t_max's new cells (lane t_max - 1) until the count reaches that
-    rank.  ``tagged_evolve`` of ``tests/paper_views.py``, which moves every
-    ball, checks this."""
-    currents = sample_pmf(nu, spec.stream("currents"), t_max)
-    balls = int(currents.sum())
+    Each replica follows the left-most ball at site >= 1 for t_max steps.
+    The block is filled one anti-diagonal t + n - 1 = d at a time: cell
+    (t, n) takes its occupancy from (t - 1, n) and its load from (t, n - 1),
+    so a diagonal is one map over the row lanes t = 0 .. min(d, t_max - 1)
+    of every replica.  Lane t's load stays in row t of ``load``.  The
+    occupancies live on one site strip (sites by replicas) that holds the
+    newest row's value of each site: lane t writes its new occupancy over
+    the value it read, where lane t + 1 reads it on the next diagonal, so a
+    diagonal's lanes are one block of the strip that moves one site left per
+    diagonal.  On diagonal d the occupancy is stored as -(-1)**d (2a - lo)
+    and the load as (-1)**d (2b - lo): the sign-alternating form of
+    ``exchange_map``, at the sign (-1)**d with the occupancy as X for
+    J <= K, and at -(-1)**d with the load as X for J > K.
+
+    Each replica draws its initial row from its own stream, C sites per
+    chunk; a chunk's C diagonals are one ``exchange_map`` call.  Row t_max's
+    cells are left behind the lanes and are counted once per chunk.  The
+    ball is found by its rank.  A site's pool is its entering queue, then
+    its box balls, and the first a' of it stay, so no ball overtakes
+    another, and the balls entering at the left boundary pass in ahead of
+    every ball already at a site >= 1.  At time t_max the ball is therefore
+    the (1 + sum of the currents)-th ball counted from site 1: the first
+    diagonal on which the count of row t_max's balls reaches that rank fixes
+    the record.  ``tagged_evolve`` of ``tests/paper_views.py``, which moves
+    every ball, checks this.  The dtype is ``exchange_form``'s for the most
+    balls any replica has entered, checked per chunk, and the wavefront runs
+    until every replica has its record."""
+    R, C = len(specs), _DRAW_CHUNK
+    draws = [_draw_sites(mu, s.stream("window")) for s in specs]
+    currents = np.stack([sample_pmf(nu, s.stream("currents"), t_max) for s in specs], axis=1)
+    balls = currents.sum(axis=0)
     rank = balls + 1
-    lo, zero, _ = exchange_form(J, K, 0, balls)
-    entering = (2 * currents - lo).tolist()
-    state = np.full((4, t_max + 1), -lo, dtype=zero.dtype)    # occ, nxt, load, q
-    x0 = None
-    count = d = 0    # count: balls of row t_max at sites 1 .. d - t_max + 2
-    last = t_max - 1
-    for chunk in _draw_sites(mu, spec.stream("window")):
-        balls += sum(chunk)
-        _, zero, top = exchange_form(J, K, t_max, balls)
-        state = state.astype(zero.dtype, copy=False)    # promoted once, if at all
-        occ, load, q = state[:2], state[2], state[3, :t_max]
-        views = [(v, v[0], v[2]) for v in ((occ[p, :t_max], load[:t_max], occ[1 - p, 1:],
-                                            q, zero, top) for p in (0, 1))]
-        for site0 in chunk:
-            view, A, A_out = views[d & 1]
-            A[0] = 2 * site0 - lo
-            if d < t_max:
-                load[d] = entering[d]
-            if x0 is None and site0:
-                x0 = d + 1
-            exchange_map(J, K, *view)
-            count += (A_out.item(last) + lo) >> 1
-            if count >= rank:   # cells: min(e + 1, t_max) summed over e <= d
-                x_final = d - t_max + 2
-                return {"replica": float(spec.replica_index), "x0": float(x0),
+    lo, dtype, _ = exchange_form(J, K, int(balls.max()))
+    alt = 1 - 2 * (np.arange(max(C, t_max)) & 1)    # (-1)**k
+    load = (alt[:t_max, None] * (2 * currents - lo)).astype(dtype)    # lane t joins at d = t
+    strip = np.zeros((C + t_max - 1, R), dtype=dtype)
+    q, t = scratch = np.empty((2, t_max, R), dtype=dtype)
+    x0 = np.zeros(R, dtype=np.int64)
+    count = np.zeros(R, dtype=np.int64)    # balls of row t_max at the sites passed
+    records: List[Optional[Dict[str, float]]] = [None] * R
+    diagonals: List[Tuple[np.ndarray, ...]] = []
+    steady = False    # every diagonal of ``diagonals`` maps all t_max lanes
+    d0 = 0
+    while None in records:
+        chunk = np.stack([next(g) for g in draws], axis=1)    # sites d0 + 1 .. d0 + C
+        balls += chunk.sum(axis=0)
+        _, new_dtype, top = exchange_form(J, K, int(balls.max()))
+        if new_dtype != dtype:    # promoted once, if at all
+            dtype, steady = new_dtype, False
+            strip, load = strip.astype(dtype), load.astype(dtype)
+            q, t = scratch = scratch.astype(dtype)
+        first = np.flatnonzero((x0 == 0) & chunk.any(axis=0))
+        x0[first] = d0 + 1 + (chunk[:, first] != 0).argmax(axis=0)
+        sign = 1 - 2 * (d0 & 1)    # (-1)**d0
+        # site d0 + 1 + j enters at strip row C - 1 - j
+        strip[C - 1::-1] = (-sign * alt[:C, None]) * (2 * chunk - lo)
+        if not steady:
+            diagonals = []    # the last chunk's views go first: less peak memory
+            # diagonal d0 + k maps its n lanes at strip rows C - 1 - k onwards
+            lanes = zip(range(C - 1, -1, -1),
+                        np.minimum(np.arange(d0 + 1, d0 + C + 1), t_max).tolist())
+            diagonals = [(strip[p:p + n], load[:n], q[:n], t[:n]) for p, n in lanes]
+            if J > K:
+                diagonals = [(w, a, *rest) for a, w, *rest in diagonals]
+            steady = d0 + 1 >= t_max
+        exchange_map(diagonals, sign if J <= K else -sign, top)
+        # diagonal d0 + k left row t_max's cell at site d0 + k - t_max + 2
+        # at strip row C + t_max - 2 - k, once k >= k0
+        k0 = max(0, t_max - 1 - d0)
+        if k0 < C:
+            last = strip[t_max - 1:C + t_max - 1 - k0][::-1].astype(np.int64)
+            last *= sign * alt[k0:C, None]
+            last += lo
+            last >>= 1
+            cum = count + np.cumsum(last, axis=0)
+            ks = k0 + (cum >= rank).argmax(axis=0)
+            for r in np.flatnonzero(cum[-1] >= rank):
+                if records[r] is None:
+                    d = d0 + int(ks[r])
+                    x_final = d - t_max + 2
+                    records[r] = {
+                        "replica": float(specs[r].replica_index), "x0": float(x0[r]),
                         "x_final": float(x_final), "ratio": x_final / t_max,
                         "window": float(d + 1), "attempt": 0.0,
                         "cells": float(t_max * (2 * d - t_max + 3) // 2)}
-            d += 1
+            count = cum[-1]
+        strip[C:] = strip[:t_max - 1]    # the newest sites, where the next lanes read them
+        d0 += C
+    return records
 
 
 def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
@@ -310,9 +355,12 @@ def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
     """Monte Carlo estimate of the tagged-particle speed (theory: dual mean
     over measure mean).  Replica r uses the streams of ``RngSpec(seed, r)``
     and records ``x0``, ``x_final``, ``window`` (initial sites used:
-    sites 1..window, about t_max + x_final), ``cells`` (the block's cells,
-    not the lanes mapped: min(d + 1, t_max) on each diagonal d < window) and
-    ``attempt`` (always 0: sites are drawn on demand, so none run out)."""
+    sites 1..window, about t_max + x_final), ``cells`` (the block's cells:
+    min(d + 1, t_max) on each diagonal d < window) and ``attempt`` (always
+    0: sites are drawn on demand, so none run out).  The replicas are
+    tracked ``_LANE_BUDGET // t_max`` (at least one) to a wavefront, so the
+    default 32 at t_max = 2000 share one; a record does not depend on the
+    batching, nor on the other replicas of the call."""
     if J == K:
         raise InvalidParams("speed is identically 1 when J = K; nothing to estimate")
     if t_max < 1 or replicas < 1:
@@ -326,8 +374,10 @@ def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
     nu = result.dual
     theoretical = mean_occupancy(nu) / mean_occupancy(mu)
     master = _as_master_seed(rng)
-    records = [_track_one_replica(J, K, mu, nu, t_max, RngSpec(master, rep))
-               for rep in range(replicas)]
+    specs = [RngSpec(master, rep) for rep in range(replicas)]
+    batch = max(1, _LANE_BUDGET // t_max)
+    records = [rec for i in range(0, replicas, batch)
+               for rec in _track_replicas(J, K, mu, nu, t_max, specs[i:i + batch])]
     ratios = np.array([r["ratio"] for r in records])
     se = float(ratios.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return SpeedEstimate(float(ratios.mean()), se, theoretical, t_max,

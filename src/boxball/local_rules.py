@@ -11,7 +11,8 @@ this map.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from itertools import cycle
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -47,56 +48,78 @@ def local_map(J: Capacity, K: Capacity, pair: CellPair) -> CellPair:
     return a + deposit - pickup, b - deposit + pickup
 
 
-def exchange_form(J: Capacity, K: Capacity, shape, balls: Capacity = INF,
-                  ) -> Tuple[int, np.ndarray, Optional[np.ndarray]]:
-    """lo = min{J, K} (0 if both are infinite) and the bound arrays 0 and 2M
-    of ``exchange_map``, M = |J - K| (0 if J = K; no 2M array if M = inf), of
-    ``shape`` in the state dtype: int16 when lo and B are below 2**14, where
-    every value lies in [-2 lo, 2B], B = min{J + K, balls} bounding a + b in
-    every cell (``balls``: the balls in the system), else int64."""
+def exchange_form(J: Capacity, K: Capacity, balls: Capacity = INF,
+                  ) -> Tuple[int, np.dtype, Optional[np.ndarray]]:
+    """The constants of ``exchange_map``: lo = min{J, K} (0 if both are
+    infinite), the state dtype, and the clip width 2M, M = |J - K| (0 if
+    J = K), as a 0-d array of that dtype, or None when one capacity is
+    infinite.  B = min{J + K, balls} bounds a + b in every cell (``balls``:
+    the balls in the system).  The dtype is int16 when lo and B are below
+    H = 2**14, else int64 (H = 2**62), and 2M is capped at 2(H - lo): the
+    clip's argument 2(a + b - lo) stays below the cap, so it never binds,
+    and every state value and intermediate of the map, Y -/+ 2M included,
+    lies in [-2H, 2H)."""
     lo = min(J, K) if is_finite(min(J, K)) else 0
+    half, dtype = ((2 ** 14, np.dtype(np.int16)) if max(lo, min(J + K, balls)) < 2 ** 14
+                   else (2 ** 62, np.dtype(np.int64)))
     M = 0 if J == K else abs(J - K)
-    dtype = np.int16 if max(lo, min(J + K, balls)) < 2 ** 14 else np.int64
-    zero = np.zeros(shape, dtype=dtype)
-    return lo, zero, (np.full(shape, 2 * M, dtype=dtype) if is_finite(M) else None)
+    return lo, dtype, (np.array(2 * min(M, half - lo), dtype=dtype) if is_finite(M) else None)
 
 
-def exchange_map(J: Capacity, K: Capacity, A: np.ndarray, B: np.ndarray,
-                 A_out: np.ndarray, q: np.ndarray, zero: np.ndarray,
+_CLAMPS = (np.minimum, np.maximum)
+
+
+def exchange_map(diagonals: Iterable[Tuple[np.ndarray, ...]], sign: int,
                  top: Optional[np.ndarray]) -> None:
-    """The unvalidated local map in doubled exchange form, in place.
+    """The unvalidated local map in signed exchange form, in place, on each
+    diagonal (X, Y, q, t) of ``diagonals`` in turn, at the sign ``sign`` on
+    the first, -sign on the second, and so on.
 
-    With c = clip(a + b - lo, 0, M), the map is (a', b') = (b - c, a + c) for
-    J <= K and (b + c, a - c) for J > K.  On the doubled state A = 2a - lo,
-    B = 2b - lo the clip is q = clip(A + B, 0, 2M) = 2c; A' goes to ``A_out``
-    and B' over ``B`` (neither overlaps A, q overlaps nothing).  ``lo``,
-    ``zero`` and ``top`` come from ``exchange_form``."""
-    np.add(A, B, out=q)
-    np.maximum(q, zero, out=q)
-    if top is not None:
-        np.minimum(q, top, out=q)
-    if J <= K:
-        np.subtract(B, q, out=A_out)
-        np.add(A, q, out=B)
+    With c = clip(x + y - lo, 0, M), the map is (x', y') = (y - c, x + c),
+    where x is the clamped side, the occupancy for J <= K and the load for
+    J > K, and y the other side.  At the sign s a diagonal holds
+    X = -s (2x - lo) and Y = s (2y - lo).  Then X' = clip(X, Y - 2M, Y) for
+    s = 1 and clip(X, Y, Y + 2M) for s = -1, Y' = (X - Y) + X', and
+    (X', Y') is the state at the sign -s.  When one capacity is infinite
+    (``top`` is None), X' is min(X, Y) or max(X, Y): three ufunc calls
+    per diagonal.  Else ``top`` is the 0-d array 2M, t = Y -/+ 2M, and a
+    diagonal is five calls (min and max take no 0-d operand: numpy's int16
+    path for one is three times slower).  q and t are scratch arrays of X's
+    shape; nothing overlaps.  ``lo``, the dtype and ``top`` come from
+    ``exchange_form``."""
+    # local names: a diagonal's Python overhead is a few lookups, ~0.1 us
+    clamps, subtract, add = _CLAMPS[::sign], np.subtract, np.add
+    if top is None:
+        for clamp, (X, Y, q, _) in zip(cycle(clamps), diagonals):
+            subtract(X, Y, out=q)
+            clamp(X, Y, out=X)
+            add(q, X, out=Y)
     else:
-        np.add(B, q, out=A_out)
-        np.subtract(A, q, out=B)
+        steps = tuple(zip((subtract, add)[::sign], clamps[::-1], clamps))
+        for (shift, bound, clamp), (X, Y, q, t) in zip(cycle(steps), diagonals):
+            subtract(X, Y, out=q)
+            shift(Y, top, out=t)
+            bound(X, t, out=X)
+            clamp(X, Y, out=X)
+            add(q, X, out=Y)
 
 
 def local_map_array(J: Capacity, K: Capacity, a: np.ndarray,
                     b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The unvalidated local map of int arrays a and b, broadcast together,
-    as int64 arrays: the allocating view of ``exchange_map``."""
-    shape = np.broadcast(a, b).shape
-    lo, zero, top = exchange_form(J, K, shape)
-    # rows A', B, A: the map leaves (A', B') in the first two
-    state = np.empty((3,) + shape, dtype=zero.dtype)
-    np.add(b, b, out=state[1])
-    np.add(a, a, out=state[2])
-    state[1:] -= lo
-    exchange_map(J, K, state[2], state[1], state[0], np.empty_like(zero), zero, top)
+    as int64 arrays: one diagonal of ``exchange_map`` at the sign 1."""
+    lo, dtype, top = exchange_form(J, K)
+    x, y = (a, b) if J <= K else (b, a)
+    X, Y, q, t = state = np.empty((4,) + np.broadcast(a, b).shape, dtype=dtype)
+    np.add(x, x, out=X)
+    np.subtract(lo, X, out=X)
+    np.add(y, y, out=Y)
+    Y -= lo
+    exchange_map([(X, Y, q, t)], 1, top)
+    # at the sign -1: X = 2x' - lo, Y = lo - 2y'
+    X += lo
+    np.subtract(lo, Y, out=Y)
     pair = state[:2]
-    pair += lo
     pair >>= 1
-    return tuple(pair.astype(np.int64, copy=False))
-
+    x2, y2 = pair.astype(np.int64, copy=False)
+    return (x2, y2) if J <= K else (y2, x2)

@@ -348,7 +348,7 @@ def test_tracker_chunked_draws_equal_one_draw(monkeypatch):
     mu = stbgeo(INF, 0.5, 1, 1)
     chunks = list(itertools.islice(
         experiments._draw_sites(mu, RngSpec(3, 1).stream("window")), 15))
-    assert all(isinstance(c, list) and len(c) == 7 for c in chunks)
+    assert all(isinstance(c, np.ndarray) and len(c) == 7 for c in chunks)
     whole = sample_pmf(mu, RngSpec(3, 1).stream("window"), 15 * 7)
     assert [v for c in chunks for v in c] == whole.tolist()
 
@@ -399,16 +399,41 @@ def test_tracker_golden_records():
                 assert rec["ratio"] == x_final / t_max and rec["attempt"] == 0
 
 
+def test_tracker_batching_and_chunking_leave_records_unchanged(monkeypatch):
+    # every replica's record is its own: the same in a call of 1, 3 or 16
+    # replicas, split into batches of 3 by a small lane budget, and under
+    # draw chunks of 16 and of 7 (odd, so chunks start on odd diagonals), in
+    # the regimes of test_speed_tracker_matches_tagged_evolve; at chunk 7 the
+    # replicas of every regime cross in different chunks (at 16 all of (4, 2)
+    # cross in one)
+    t_max, master = 100, 99
+    for J, K, mu in [(2, 5, stbgeo(2, 0.5, 1, 1)), (4, 2, uniform(4)),
+                     (1, INF, bernoulli(0.25)), (INF, 2, stbgeo(INF, 0.5, 1, 1))]:
+        want = speed_estimate(J, K, mu, t_max=t_max, replicas=16, rng=master).per_replica
+        for chunk in (16, 7):
+            monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
+            crossed = {(int(r["window"]) - 1) // chunk for r in want}
+            assert len(crossed) > 1 or chunk == 16, (J, K)
+            for replicas in (1, 3, 16):
+                got = speed_estimate(J, K, mu, t_max=t_max, replicas=replicas, rng=master)
+                assert got.per_replica == want[:replicas], (J, K, chunk, replicas)
+            monkeypatch.setattr(experiments, "_LANE_BUDGET", 3 * t_max)
+            got = speed_estimate(J, K, mu, t_max=t_max, replicas=16, rng=master)
+            assert got.per_replica == want, (J, K, chunk)
+            monkeypatch.undo()
+
+
 def test_tracker_promotes_state_mid_run(monkeypatch):
     # the balls entered (row currents and drawn sites) leave the int16 range
     # of exchange_form after the first draw chunk and before the last; every
-    # diagonal of the chunk that crosses it, and after, maps int64 lanes
+    # diagonal of the chunk that crosses it, and after, maps int64 lanes, and
+    # diagonal d maps the min(d + 1, t_max) lanes of the rows joined
     J, K, mu, t_max, master = INF, 2, stbgeo(INF, 0.9, 1, 1), 1500, 11
     lanes = []
 
-    def spy(J, K, A, *rest):
-        lanes.append((A.dtype, len(A)))
-        exchange_map(J, K, A, *rest)
+    def spy(diagonals, sign, top):
+        lanes.extend((X.dtype, len(X)) for X, *_ in diagonals)
+        exchange_map(diagonals, sign, top)
 
     monkeypatch.setattr(experiments, "exchange_map", spy)
     rec, = speed_estimate(J, K, mu, t_max=t_max, replicas=1, rng=master).per_replica
@@ -419,65 +444,105 @@ def test_tracker_promotes_state_mid_run(monkeypatch):
     sites = sample_pmf(mu, spec.stream("window"), n_chunks * chunk)
     balls = (int(sample_pmf(nu, spec.stream("currents"), t_max).sum())
              + np.cumsum(sites.reshape(n_chunks, chunk).sum(axis=1)))
-    dtypes = [exchange_form(J, K, 0, int(b))[1].dtype for b in balls]
+    dtypes = [exchange_form(J, K, int(b))[1] for b in balls]
     assert dtypes[0] == np.int16 and dtypes[-1] == np.int64
-    assert lanes == [(dtypes[d // chunk], t_max) for d in range(window)]
+    assert lanes == [(dtypes[d // chunk], min(d + 1, t_max)) for d in range(n_chunks * chunk)]
+
+
+def _signed_state(a, b, sign, dtype, lo):
+    """The strip form at the sign s: occupancy -s (2a - lo), load s (2b - lo)."""
+    return ((-sign * (2 * np.asarray(a) - lo)).astype(dtype),
+            (sign * (2 * np.asarray(b) - lo)).astype(dtype))
+
+
+def _map_signed(J, K, occ, load, q, t, sign, top):
+    """One diagonal on the strip form at the sign s: the occupancy is X for
+    J <= K (kernel sign s), the load is X for J > K (kernel sign -s)."""
+    pair = (occ, load) if J <= K else (load, occ)
+    exchange_map([(*pair, q, t)], sign if J <= K else -sign, top)
+
+
+def _unsigned(occ, load, sign, lo):
+    """(a, b) from the strip form at the sign -s, the sign after one map."""
+    return list(zip(((sign * occ.astype(np.int64) + lo) >> 1).tolist(),
+                    ((-sign * load.astype(np.int64) + lo) >> 1).tolist()))
 
 
 @settings(max_examples=60)
-@given(_CAPS, _CAPS, st.one_of(st.just(INF), st.integers(0, 2 ** 15)))
-def test_empty_lane_is_a_fixed_point(J, K, balls):
-    # a lane holds the doubled empty pair (-lo, -lo) until its row joins
-    lo, zero, top = exchange_form(J, K, 3, balls)
-    A, B, A_out, q = np.full((4, 3), -lo, dtype=zero.dtype)
-    exchange_map(J, K, A, B, A_out, q, zero, top)
-    assert (A == -lo).all() and (B == -lo).all() and (A_out == -lo).all()
+@given(_CAPS, _CAPS, st.one_of(st.just(INF), st.integers(0, 2 ** 15)),
+       st.sampled_from([1, -1]))
+def test_empty_lane_is_a_fixed_point(J, K, balls, sign):
+    # the doubled empty pair (-lo, -lo) maps to itself at either sign; two
+    # diagonals in one call flip the sign twice
+    lo, dtype, top = exchange_form(J, K, balls)
+    X, Y, q, t = np.empty((4, 3), dtype=dtype)
+    X[:], Y[:] = sign * lo, -sign * lo
+    exchange_map([(X, Y, q, t)], sign, top)
+    assert (X == -sign * lo).all() and (Y == sign * lo).all()
+    exchange_map([(X, Y, q, t)] * 2, -sign, top)
+    assert (X == -sign * lo).all() and (Y == sign * lo).all()
 
 
 @settings(max_examples=80)
 @given(_CAPS, _CAPS, st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
-                              min_size=1, max_size=12))
-def test_diagonal_map_equals_local_map(J, K, pairs):
+                              min_size=1, max_size=12), st.sampled_from([1, -1]))
+def test_diagonal_map_equals_local_map(J, K, pairs, sign):
     pairs = [(min(a, J), min(b, K)) for a, b in pairs]
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
     want = [local_map(J, K, p) for p in pairs]
     a2, b2 = local_map_array(J, K, a, b)
     assert a2.dtype == b2.dtype == np.int64
     assert list(zip(a2.tolist(), b2.tolist())) == want
-    # the tracker's buffer form on the doubled state 2a - lo, 2b - lo: A' goes
-    # one row down into the other occupancy row, B' over B, and no entry
-    # past the diagonal is written
+    # the tracker's form at either sign: the occupancies on a slice of a
+    # strip, the loads on lanes; no strip entry outside the slice is written
     m = len(pairs)
-    lo, zero, top = exchange_form(J, K, m)
-    dtype = np.int16 if is_finite(J) and is_finite(K) else np.int64
-    assert zero.dtype == dtype and (top is None or top.dtype == dtype)
-    occ, nxt, load, q = np.full((4, m + 1), -7, dtype=dtype)
-    occ[:m], load[:m] = 2 * a - lo, 2 * b - lo
-    exchange_map(J, K, occ[:m], load[:m], nxt[1:], q[:m], zero, top)
-    assert list(zip(((nxt[1:] + lo) >> 1).tolist(), ((load[:m] + lo) >> 1).tolist())) == want
-    assert occ[m] == nxt[0] == load[m] == q[m] == -7
+    lo, dtype, top = exchange_form(J, K)
+    assert dtype == (np.int16 if is_finite(J) and is_finite(K) else np.int64)
+    assert (top is None) == (is_finite(J) != is_finite(K))
+    assert top is None or top.dtype == dtype
+    strip, load, q, t = np.full((4, m + 2), -7, dtype=dtype)
+    occ = strip[1:m + 1]
+    occ[:], load[:m] = _signed_state(a, b, sign, dtype, lo)
+    _map_signed(J, K, occ, load[:m], q[:m], t[:m], sign, top)
+    assert _unsigned(occ, load[:m], sign, lo) == want
+    assert strip[0] == strip[m + 1] == load[m] == q[m] == t[m] == -7
 
 
 @pytest.mark.parametrize("K, dtype", [(2 ** 14 - 2, np.int16), (2 ** 14 - 1, np.int64)])
 def test_exchange_dtype_edge(K, dtype):
     # J + K < 2**14 picks int16, and so does a ball count J + K at K = inf;
-    # the extreme pairs give the extreme sums
+    # the extreme pairs give the extreme sums, and |X - Y| <= 2B at either
+    # sign, B = J + K
     J, pairs = 1, [(1, K), (0, 0)]
     a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
     for K_map, balls in ((K, INF), (INF, J + K)):
-        lo, zero, top = exchange_form(J, K_map, len(pairs), balls)
-        assert zero.dtype == dtype
+        lo, got_dtype, top = exchange_form(J, K_map, balls)
+        assert got_dtype == dtype
         assert top is None if K_map == INF else top.dtype == dtype
-        A, B = ((2 * x - lo).astype(dtype) for x in (a, b))
-        A2, q = np.empty((2, len(pairs)), dtype=dtype)
-        exchange_map(J, K_map, A, B, A2, q, zero, top)
-        got = zip(((A2.astype(np.int64) + lo) >> 1).tolist(),
-                  ((B.astype(np.int64) + lo) >> 1).tolist())
-        assert list(got) == [local_map(J, K_map, p) for p in pairs]
+        for sign in (1, -1):
+            occ, load = _signed_state(a, b, sign, dtype, lo)
+            q, t = np.empty((2, len(pairs)), dtype=dtype)
+            _map_signed(J, K_map, occ, load, q, t, sign, top)
+            assert _unsigned(occ, load, sign, lo) == [local_map(J, K_map, p) for p in pairs]
+            assert np.abs(q.astype(np.int64)).max() <= 2 * (J + K)
     # without a ball count an infinite capacity stays int64; lo = K at
     # J = inf bounds the values from below whatever the ball count
-    assert exchange_form(J, INF, 1)[1].dtype == np.int64
-    assert exchange_form(INF, K + 1, 1, 0)[1].dtype == dtype
+    assert exchange_form(J, INF)[1] == np.int64
+    assert exchange_form(INF, K + 1, 0)[1] == dtype
+
+
+def test_exchange_clip_width_capped():
+    # M = |J - K| past the int16 range with few balls: 2M is capped at
+    # 2 (2**14 - lo), which the clip's argument 2 (a + b - lo) never reaches
+    J, K, balls = 1, 2 ** 15, 2 ** 14 - 2
+    lo, dtype, top = exchange_form(J, K, balls)
+    assert dtype == np.int16 and int(top) == 2 * (2 ** 14 - lo)
+    pairs = [(1, balls - 1), (0, balls), (1, 0), (0, 0), (1, 2)]
+    a, b = (np.array(v, dtype=np.int64) for v in zip(*pairs))
+    for sign in (1, -1):
+        occ, load = _signed_state(a, b, sign, dtype, lo)
+        _map_signed(J, K, occ, load, *np.empty((2, len(pairs)), dtype=dtype), sign, top)
+        assert _unsigned(occ, load, sign, lo) == [local_map(J, K, p) for p in pairs]
 
 
 def test_speed_jsonl_records():
