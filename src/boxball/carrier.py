@@ -256,7 +256,7 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     ``Undetermined`` when there is none, always for J < K = inf.
     """
     if J != c.J:
-        raise ValueError(f"config carries J={c.J}, got J={J}")
+        raise InvalidParams(f"config carries J={c.J}, got J={J}")
     seed = _resolve_seed(c, t)
     i, w, _ = advance_row(J, K, c.cells, seed, c.boundary)
     return CarrierPath(c.offset + i, w[:len(c) - i], seed)

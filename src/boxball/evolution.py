@@ -43,16 +43,17 @@ _MAP_CELLS = 2 ** 14    # cells per local map call of duality_verify
 # ---------------------------------------------------------------------------
 
 
-def step(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Config:
+def step(J: Capacity, K: Capacity, c: Config) -> Config:
     """One forward evolution of the window.
 
     Zero-padded windows extend on the right until the carrier drains, so the
     ball count is conserved.  Detect mode returns the sub-window right of the
-    forced carrier position (the rest is not determined by the window).
+    forced carrier position (the rest is not determined by the window).  An
+    ``IidInvariant`` window enters with its first current.
     """
     if J != c.J:
-        raise ValueError(f"config carries J={c.J}, got J={J}")
-    seed = _resolve_seed(c, t)
+        raise InvalidParams(f"config carries J={c.J}, got J={J}")
+    seed = _resolve_seed(c, 0)
     i, _, nxt = advance_row(J, K, c.cells, seed, c.boundary)
     if not len(nxt):
         raise Undetermined("window exhausted: no cell right of the forced position")

@@ -30,6 +30,7 @@ from .measures import (
 )
 
 _ROLE_IDS = {"window": 1, "currents": 2}
+_SIGNIFICANCE = 0.01    # level of every chi-square test of this module
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,6 @@ class RngSpec:
             np.random.SeedSequence(self.master_seed, spawn_key=key))
 
 
-def _as_master_seed(rng: Union[int, RngSpec]) -> int:
-    return rng.master_seed if isinstance(rng, RngSpec) else int(rng)
-
-
 # ---------------------------------------------------------------------------
 # exact stationary block sampling
 # ---------------------------------------------------------------------------
@@ -58,12 +55,11 @@ def _as_master_seed(rng: Union[int, RngSpec]) -> int:
 
 def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
                             T_max: int, rng: Union[int, RngSpec],
-                            offset: int = 1,
                             ) -> Tuple[SpaceTimeBlock, Dict[str, object]]:
-    """Draw a window of i.i.d.-mu sites and i.i.d.-dual left currents and
-    evolve deterministically; the block law equals the restriction of the
-    stationary dynamics exactly when mu is invariant (a warning is recorded
-    in the metadata otherwise)."""
+    """Draw a window of i.i.d.-mu sites 1..L and i.i.d.-dual left currents
+    and evolve deterministically; the block law equals the restriction of
+    the stationary dynamics exactly when mu is invariant (a warning is
+    recorded in the metadata otherwise)."""
     spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
     result = classify_invariant(J, K, mu)
     meta: Dict[str, object] = {"verdict": result.verdict}
@@ -77,7 +73,7 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
         raise InvalidParams("window must be non-empty")
     eta = sample_pmf(mu, spec.stream("window"), L)
     currents = tuple(sample_pmf(nu, spec.stream("currents"), T_max + 1).tolist())
-    block = evolve_block(J, K, Config(offset, eta, J, IidInvariant(currents)), T_max)
+    block = evolve_block(J, K, Config(1, eta, J, IidInvariant(currents)), T_max)
     meta["dual"] = nu
     return block, meta
 
@@ -143,12 +139,11 @@ class InvarianceTestReport:
 
 
 def invariance_mc_test(J: Capacity, K: Capacity, mu: Pmf, L: int, T_max: int,
-                       replicas: int, rng: Union[int, RngSpec],
-                       significance: float = 0.01) -> InvarianceTestReport:
+                       replicas: int, rng: int) -> InvarianceTestReport:
     """Sample stationary blocks and test the final row against the product
     law: marginal and disjoint adjacent-pair chi-square plus per-row total
-    variation distances.  Replica p-values are combined by Fisher's method."""
-    master = _as_master_seed(rng)
+    variation distances.  Replica r draws from ``RngSpec(rng, r)``; its
+    p-values are combined by Fisher's method and tested at level 0.01."""
     probs = mu.array()
     A = len(probs)
     pair_probs = np.multiply.outer(probs, probs).ravel()
@@ -156,7 +151,7 @@ def invariance_mc_test(J: Capacity, K: Capacity, mu: Pmf, L: int, T_max: int,
     tv_rows: List[float] = []
     for rep in range(replicas):
         block, _ = sample_stationary_block(
-            J, K, mu, L, T_max, RngSpec(master, rep))
+            J, K, mu, L, T_max, RngSpec(rng, rep))
         tvs = [_tv(np.bincount(row, minlength=A)[:A], probs) for row in block.occ]
         last = block.occ[-1]
         counts = np.bincount(last, minlength=A)[:A]
@@ -176,8 +171,8 @@ def invariance_mc_test(J: Capacity, K: Capacity, mu: Pmf, L: int, T_max: int,
     p_pair = fisher([r["pair_p"] for r in reports])
     return InvarianceTestReport(
         marginal_p=p_m, pair_p=p_pair, row_tv=tuple(tv_rows),
-        significance=significance, per_replica=tuple(reports),
-        passed=(p_m > significance and p_pair > significance))
+        significance=_SIGNIFICANCE, per_replica=tuple(reports),
+        passed=(p_m > _SIGNIFICANCE and p_pair > _SIGNIFICANCE))
 
 
 @dataclass(frozen=True)
@@ -189,14 +184,12 @@ class CurrentIidReport:
     passed: bool
 
 
-def current_iid_test(block: SpaceTimeBlock, nu_expected: Pmf,
-                     column: Optional[int] = None,
-                     significance: float = 0.01) -> CurrentIidReport:
-    """Test an interior column of carrier loads against the expected dual
-    law (marginal chi-square) and bound its lag-1 sample autocorrelation."""
-    if column is None:
-        lo, hi = block.load_span[0].tolist()
-        column = block.offset + (lo + hi - 1) // 2
+def current_iid_test(block: SpaceTimeBlock, nu_expected: Pmf) -> CurrentIidReport:
+    """Test the middle interior column of carrier loads against the
+    expected dual law (marginal chi-square at level 0.01) and bound its
+    lag-1 sample autocorrelation."""
+    lo, hi = block.load_span[0].tolist()
+    column = block.offset + (lo + hi - 1) // 2
     vals = np.asarray(current_column(block, column), dtype=np.int64)
     T = len(vals)
     probs = nu_expected.array()
@@ -213,7 +206,7 @@ def current_iid_test(block: SpaceTimeBlock, nu_expected: Pmf,
         rho = float(((x[:-1] - x.mean()) * (x[1:] - x.mean())).mean() / v)
     bound = 3.0 / math.sqrt(T)
     return CurrentIidReport(p_m, rho, bound, column,
-                            passed=(p_m > significance and abs(rho) <= bound))
+                            passed=(p_m > _SIGNIFICANCE and abs(rho) <= bound))
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +344,9 @@ def _track_replicas(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf, t_max: int,
 
 
 def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
-                   replicas: int, rng: Union[int, RngSpec]) -> SpeedEstimate:
+                   replicas: int, rng: int) -> SpeedEstimate:
     """Monte Carlo estimate of the tagged-particle speed (theory: dual mean
-    over measure mean).  Replica r uses the streams of ``RngSpec(seed, r)``
+    over measure mean).  Replica r uses the streams of ``RngSpec(rng, r)``
     and records ``x0``, ``x_final``, ``window`` (initial sites used:
     sites 1..window, about t_max + x_final), ``cells`` (the block's cells:
     min(d + 1, t_max) on each diagonal d < window) and ``attempt`` (always
@@ -373,8 +366,7 @@ def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
                             f"got {result.verdict}")
     nu = result.dual
     theoretical = mean_occupancy(nu) / mean_occupancy(mu)
-    master = _as_master_seed(rng)
-    specs = [RngSpec(master, rep) for rep in range(replicas)]
+    specs = [RngSpec(rng, rep) for rep in range(replicas)]
     batch = max(1, _LANE_BUDGET // t_max)
     records = [rec for i in range(0, replicas, batch)
                for rec in _track_replicas(J, K, mu, nu, t_max, specs[i:i + batch])]

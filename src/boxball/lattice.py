@@ -116,17 +116,11 @@ class Config(ArrayFields):
         """Lattice index of the last stored cell."""
         return self.offset + len(self.cells) - 1
 
-    def at(self, n: int, default: int = 0) -> int:
-        """Occupancy at lattice index n; default outside the window."""
+    def at(self, n: int) -> int:
+        """Occupancy at lattice index n; 0 outside the window."""
         if self.offset <= n <= self.end:
             return self.cells.item(n - self.offset)
-        return default
-
-    def ball_count(self) -> int:
-        return int(self.cells.sum())
-
-    def text(self) -> str:
-        return f"{self.offset}:" + ",".join(map(str, self.cells.tolist()))
+        return 0
 
 
 def config_from_text(text: str, J: Capacity, boundary: BoundaryMode = ZeroPad()) -> Config:

@@ -28,6 +28,7 @@ _SUM_TOL = 1e-12
 _TAIL_EPS = 1e-13   # tail mass cut from stbGeo and dual pmfs on infinite support
 _THETA_GRID = 32    # drift exponents tried for the K = inf tail bound
 _MAX_STATES = 1 << 13   # K = inf load states: a 0.5 GB dense kernel
+_MAX_TERMS = 10 ** 7    # joint-law entries of invariance_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +40,8 @@ _MAX_STATES = 1 << 13   # K = inf load states: a 0.5 GB dense kernel
 class Pmf:
     """Finite probability vector over occupancies 0..len-1.
 
-    ``truncated`` marks a tail cut from an infinite-capacity measure; the
-    weights then sum to at least 1 - 1e-12 instead of exactly 1.
+    ``truncated`` marks a tail cut from an infinite-capacity measure.
+    Either way the weights sum to 1 within 1e-12.
     """
 
     weights: Tuple[float, ...]
@@ -52,10 +53,7 @@ class Pmf:
         if not all(0 <= w < math.inf for w in self.weights):   # NaN fails too
             raise InvalidPmf("weights must be finite and non-negative")
         s = sum(self.weights)
-        if self.truncated:
-            if not (1 - _SUM_TOL <= s <= 1 + _SUM_TOL):
-                raise InvalidPmf(f"truncated weights sum to {s}, need >= 1 - 1e-12")
-        elif abs(s - 1) > _SUM_TOL:
+        if abs(s - 1) > _SUM_TOL:
             raise InvalidPmf(f"weights sum to {s}, need 1 within 1e-12")
 
     def __len__(self) -> int:
@@ -429,23 +427,20 @@ def _fit_stbgeo(weights: Tuple[float, ...], Jr: Capacity, Kr: Capacity,
                 tol: float) -> Optional[StbGeoParams]:
     """The bipartite geometric parameters read off the reduced weights at
     0, m and 2m, or None when the support or the capacities rule the family
-    out.  Whether every weight fits is left to the detailed balance check of
-    ``classify_invariant`` against the dual built from them."""
+    out.  The weights hold mass at 0 and past it (a point mass at 0 is a
+    trivial shift).  Whether every weight fits is left to the detailed
+    balance check of ``classify_invariant`` against the dual built from
+    them."""
     supp = [a for a, w in enumerate(weights) if w > 0]
     mx = supp[-1]
     m = math.gcd(*supp)
-    if m == 0:
-        return None
     if is_finite(Jr) and mx != Jr:
         return None
     # support must be every multiple of m up to the maximum
     if supp != list(range(0, mx + 1, m)):
         return None
     w0 = weights[0]
-    n_pts = len(supp)
-    if n_pts == 1:
-        return None
-    if n_pts == 2:
+    if len(supp) == 2:
         alpha, beta = weights[m] / w0, 1.0
     else:
         alpha = math.sqrt(weights[2 * m] / w0)
@@ -527,8 +522,7 @@ class OracleReport:
 
 
 def invariance_oracle(J: Capacity, K: Capacity, mu: Pmf, k: int,
-                      dual: Optional[Pmf] = None,
-                      max_terms: int = 10 ** 7) -> OracleReport:
+                      dual: Optional[Pmf] = None) -> OracleReport:
     """Exact joint law of the first k updated sites when the entering load
     is drawn from the dual measure and the sites are i.i.d. mu, compared to
     the product law.  Invariance holds iff the deviation vanishes."""
@@ -543,8 +537,8 @@ def invariance_oracle(J: Capacity, K: Capacity, mu: Pmf, k: int,
         w_max = min(w_max, int(K) + 1)
     # updated occupancies can exceed the input support, up to the capacity
     out_A = int(J) + 1 if is_finite(J) else A + w_max
-    if (out_A ** k) * w_max > max_terms:
-        raise StateSpaceTooLarge(f"{(out_A ** k) * w_max} terms exceed {max_terms}")
+    if (out_A ** k) * w_max > _MAX_TERMS:
+        raise StateSpaceTooLarge(f"{(out_A ** k) * w_max} terms exceed {_MAX_TERMS}")
     P = np.zeros((1, w_max))
     P[0, : len(nu)] = nu.weights
     xs = np.flatnonzero(mu.array())

@@ -346,6 +346,20 @@ def test_seeded_rows_validate_K():
                     call()
 
 
+def test_j_mismatch_is_a_parameter_error():
+    # the J of the call and of the window disagree: InvalidParams everywhere
+    c = cfg(0, (1, 0, 2), 2)
+    for call in (lambda: step(3, 4, c), lambda: inverse_step(3, 4, c),
+                 lambda: canonical_carrier(3, 4, c), lambda: evolve_block(3, 4, c, 2)):
+        with pytest.raises(InvalidParams, match="config carries J=2, got J=3"):
+            call()
+
+
+def test_seed_outside_capacity_is_an_invalid_cell():
+    with pytest.raises(InvalidCell, match=r"seed 4 outside \[0, 3\]"):
+        step(2, 3, Config(1, (1, 0), 2, SeededCarrier(4)))
+
+
 def test_canonical_undetermined():
     c = cfg(0, (1, 1, 1, 1), 2, Detect(0))  # constant average, no forcing
     with pytest.raises(Undetermined):

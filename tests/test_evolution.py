@@ -102,14 +102,14 @@ def test_block_single_ball():
     b = evolve_block(1, INF, c, 3)
     for t in range(4):
         row = b.config(t)
-        assert row.ball_count() == 1
+        assert int(row.cells.sum()) == 1
         assert row.at(1 + t) == 1
     assert all(v == 0 for v in b.left_currents)
 
 
 def test_block_all_empty():
     b = evolve_block(2, 3, cfg(0, (0, 0, 0), 2), 3)
-    assert all(b.config(t).ball_count() == 0 for t in range(4))
+    assert all(int(b.config(t).cells.sum()) == 0 for t in range(4))
 
 
 def test_block_j_equals_k_right_shifts():
@@ -127,7 +127,7 @@ def test_block_ball_conservation_zero_pad():
     for J, K in REGIMES:
         c = random_zero_padded(rng, J)
         b = evolve_block(J, K, c, 5)
-        counts = {b.config(t).ball_count() for t in range(6)}
+        counts = {int(b.config(t).cells.sum()) for t in range(6)}
         assert len(counts) == 1
 
 
@@ -304,7 +304,7 @@ def test_tagged_occupancy_agreement_and_order():
     for J, K in [(1, INF), (2, 1), (3, 4), (2, 2)]:
         for _ in range(30):
             c = random_zero_padded(rng, J, n_max=10)
-            if c.ball_count() == 0 or all(c.at(n) == 0 for n in range(max(1, c.offset), c.end + 1)):
+            if int(c.cells.sum()) == 0 or all(c.at(n) == 0 for n in range(max(1, c.offset), c.end + 1)):
                 continue
             traj, final = tagged_evolve(J, K, c, 3)
             expect = c

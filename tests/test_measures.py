@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,11 @@ def test_pmf_validation():
     with pytest.raises(InvalidPmf):
         Pmf((0.7, -0.1, 0.4))
     Pmf((0.5, 0.49999999999999), truncated=True)
+    # one bound, |sum - 1| <= 1e-12, on both sides and either flag
+    for truncated in (False, True):
+        for w in (0.5 + 2e-12, 0.5 - 2e-12):
+            with pytest.raises(InvalidPmf, match=r"weights sum to .*, need 1 within 1e-12"):
+                Pmf((0.5, w), truncated=truncated)
 
 
 def test_r_underline_mean():
@@ -389,6 +396,11 @@ def test_classify_sigma_reflection():
     # reflected supports need both capacities finite
     res = classify_invariant(3, INF, Pmf((0.0, 0.0, 0.75, 0.25)))
     assert res.verdict in (VERDICT_NOT_INVARIANT, VERDICT_NOT_IN_MREV)
+    # in M_rev (2 mean = 3.8 < 10), and r = 0 comes from the full side
+    mu = Pmf((0.0, 0.9) + (0.0,) * 8 + (0.1,))
+    res = classify_invariant(10, INF, mu)
+    assert (res.verdict, res.detail, res.residual, res.dual) == (
+        VERDICT_NOT_INVARIANT, "reflected support needs both capacities finite", math.inf, None)
 
 
 def test_classify_not_in_mrev():
@@ -494,11 +506,12 @@ def test_oracle_detects_non_invariance():
     assert rep.deviation > 1e-2
 
 
-def test_oracle_guards():
+def test_oracle_guards(monkeypatch):
     with pytest.raises(InvalidParams):
         invariance_oracle(1, 2, bernoulli(0.25), 5)
+    monkeypatch.setattr(measures, "_MAX_TERMS", 10)
     with pytest.raises(StateSpaceTooLarge):
-        invariance_oracle(1, INF, bernoulli(0.25), 4, max_terms=10)
+        invariance_oracle(1, INF, bernoulli(0.25), 4)
 
 
 def test_oracle_matches_balance_for_stbgeo():
