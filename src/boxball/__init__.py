@@ -23,7 +23,6 @@ from .lattice import (
     Config,
     Detect,
     IidInvariant,
-    SeededCarrier,
     ZeroPad,
     config_from_text,
     reverse,

@@ -4,13 +4,13 @@ A block is written as three files: the occupancy rectangle, the carrier
 rectangle (one row per time step, header ``t,n<site>,...``) and the left
 boundary currents.  All values are decimal integers; a blank entry is a site
 outside the row's window or an undetermined current.  A row's values are
-contiguous, so a blank between two values is an error.  The floor of a
-Detect boundary is not stored, so a block whose currents are all blank reads
-back with ``Detect()`` (floor 0), whatever its capacities.  A ZeroPad block
-heads its currents ``t,zero`` and reads back as ``ZeroPad()``; any other
-block heads them ``t,current`` and reads back as ``IidInvariant`` with its
-per-row currents, so a ``SeededCarrier`` block reads back with equal rows
-but an ``IidInvariant`` boundary.
+contiguous, so a blank between two values is an error.  The currents file
+stores the boundary mode: a ZeroPad block heads it ``t,zero`` with every
+current 0 and reads back as ``ZeroPad()``; any other block heads it
+``t,current``.  An ``IidInvariant`` block reads back with its per-row
+currents.  The floor of a Detect boundary is not stored, so a block whose
+currents are all blank reads back with ``Detect()`` (floor 0), whatever its
+capacities; every other block reads back equal to the one written.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         raise InvalidParams("block files disagree on the number of time rows")
 
     if rows[0][1:] == ["zero"]:
+        if any(c != 0 for c in currents):
+            raise InvalidParams(f"{currents_path}: a zero-padded block needs every current 0")
         boundary = ZeroPad()
     elif all(c is None for c in currents):
         boundary = Detect()
@@ -182,4 +184,4 @@ def read_block_csv(path: str, J: Capacity, K: Capacity) -> SpaceTimeBlock:
         raise InvalidParams(f"{currents_path}: blank and numeric currents mixed")
     else:
         boundary = IidInvariant(currents)
-    return SpaceTimeBlock.from_spans(J, K, occ, car, currents, boundary)
+    return SpaceTimeBlock.from_spans(J, K, occ, car, boundary)

@@ -25,7 +25,6 @@ from .lattice import (
     BoundaryMode,
     Config,
     IidInvariant,
-    SeededCarrier,
     ZeroPad,
     frozen_int64,
 )
@@ -79,11 +78,11 @@ def sweep(J: Capacity, K: Capacity, c: Config, seed: int,
     """Left-to-right application of the local map with the given entering load.
 
     Returns the carrier path and the updated configuration on the same
-    window.  With ``drain=True`` the sweep continues over empty cells past
-    the window end until the carrier empties, extending the output (used for
-    zero-padded configurations so mass is conserved).
+    window: a row under ``IidInvariant((seed,))``, or with ``drain=True`` a
+    ``ZeroPad`` row, which continues over empty cells past the window end
+    until the carrier empties, extending the output (so mass is conserved).
     """
-    _, w, teta = advance_row(J, K, c.cells, seed, ZeroPad() if drain else SeededCarrier(seed))
+    _, w, teta = advance_row(J, K, c.cells, seed, ZeroPad() if drain else IidInvariant((seed,)))
     return CarrierPath(c.offset, w, seed), Config(c.offset, teta, c.J, c.boundary)
 
 
@@ -232,13 +231,10 @@ def detect_seed(J: Capacity, K: Capacity, c: Config, floor: int = 0) -> Optional
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(c: Config, t: int) -> Optional[int]:
-    """Entering load of row t implied by the boundary mode; None under Detect."""
-    b = c.boundary
+def _resolve_seed(b: BoundaryMode, t: int) -> Optional[int]:
+    """Entering load of row t under boundary b: 0, currents[t] or None."""
     if isinstance(b, ZeroPad):
         return 0
-    if isinstance(b, SeededCarrier):
-        return b.seed
     if isinstance(b, IidInvariant):
         if t >= len(b.currents):
             raise InvalidParams(f"row t={t} needs a current, but only "
@@ -257,7 +253,7 @@ def canonical_carrier(J: Capacity, K: Capacity, c: Config, t: int = 0) -> Carrie
     """
     if J != c.J:
         raise InvalidParams(f"config carries J={c.J}, got J={J}")
-    seed = _resolve_seed(c, t)
+    seed = _resolve_seed(c.boundary, t)
     i, w, _ = advance_row(J, K, c.cells, seed, c.boundary)
     return CarrierPath(c.offset + i, w[:len(c) - i], seed)
 

@@ -19,7 +19,7 @@ from .capacities import Capacity, capacity_str, parse_capacity
 from .errors import BoxBallError, FloorTooLarge, InvalidParams
 from .evolution import duality_verify, evolve_block
 from .experiments import speed_estimate, write_jsonl, write_report_csv
-from .lattice import Detect, IidInvariant, SeededCarrier, ZeroPad, config_from_text
+from .lattice import Detect, IidInvariant, ZeroPad, config_from_text
 from .measures import (
     VERDICT_NOT_IN_MREV,
     JEqualsKFamily,
@@ -52,7 +52,8 @@ def _boundary_from_args(args, K: Capacity) -> object:
     if args.boundary == "detect":
         return Detect(args.floor)
     if args.boundary == "seeded":
-        return SeededCarrier(_checked_loads("--carrier-seed", (args.carrier_seed,), K)[0])
+        return IidInvariant(_checked_loads("--carrier-seed", (args.carrier_seed,), K)
+                            * (args.steps + 1))
     if args.boundary == "iid":
         if not args.currents:
             raise InvalidParams("--boundary iid requires --currents")

@@ -53,7 +53,7 @@ def step(J: Capacity, K: Capacity, c: Config) -> Config:
     """
     if J != c.J:
         raise InvalidParams(f"config carries J={c.J}, got J={J}")
-    seed = _resolve_seed(c, 0)
+    seed = _resolve_seed(c.boundary, 0)
     i, _, nxt = advance_row(J, K, c.cells, seed, c.boundary)
     if not len(nxt):
         raise Undetermined("window exhausted: no cell right of the forced position")
@@ -81,9 +81,9 @@ class SpaceTimeBlock(ArrayFields):
     the occupancy and the carrier load W of row t at site offset + j.  Row t
     stores occupancies in the columns ``occ_span[t]`` and loads in
     ``load_span[t]`` (half-open [lo, hi)); every other entry is 0, and the
-    columns are the union of the rows' sites.  ``left_currents[t]`` is the
-    load entering row t (None under Detect).  Every row shares the boundary
-    mode; ``config(t)``, ``carrier(t)`` and ``rows`` are views."""
+    columns are the union of the rows' sites.  Every row shares the boundary
+    mode, which gives the load entering each row (an ``IidInvariant`` holds
+    one per row); ``config(t)``, ``carrier(t)`` and ``rows`` are views."""
 
     J: Capacity
     K: Capacity
@@ -92,7 +92,6 @@ class SpaceTimeBlock(ArrayFields):
     load: np.ndarray
     occ_span: np.ndarray
     load_span: np.ndarray
-    left_currents: Tuple[Optional[int], ...]
     boundary: BoundaryMode
 
     def __post_init__(self):
@@ -105,12 +104,14 @@ class SpaceTimeBlock(ArrayFields):
         if occ.size and (occ.min() < 0 or occ.max() > self.J):
             t, j = np.argwhere((occ < 0) | (occ > self.J))[0]
             raise InvalidCell(f"cell value {int(occ[t, j])!r} outside [0, {self.J}]")
+        if isinstance(self.boundary, IidInvariant) and len(self.boundary.currents) != len(occ):
+            raise InvalidParams(f"a block of {len(occ)} rows needs {len(occ)} currents, "
+                                f"got {len(self.boundary.currents)}")
 
     @classmethod
     def from_spans(cls, J: Capacity, K: Capacity,
                    occ_rows: Sequence[Tuple[int, Sequence[int]]],
                    load_rows: Sequence[Tuple[int, Sequence[int]]],
-                   left_currents: Sequence[Optional[int]],
                    boundary: BoundaryMode) -> "SpaceTimeBlock":
         """The block of per-row (first site, values) occupancies and loads;
         every value must be an integer."""
@@ -131,11 +132,16 @@ class SpaceTimeBlock(ArrayFields):
                 g[a:b] = v
             grids += [grid, span]
         occ, occ_span, load, load_span = grids
-        return cls(J, K, lo, occ, load, occ_span, load_span, tuple(left_currents), boundary)
+        return cls(J, K, lo, occ, load, occ_span, load_span, boundary)
 
     @property
     def t_max(self) -> int:
         return len(self.occ) - 1
+
+    @property
+    def left_currents(self) -> Tuple[Optional[int], ...]:
+        """The load entering each row (None under Detect)."""
+        return tuple(_resolve_seed(self.boundary, t) for t in range(len(self.occ)))
 
     def config(self, t: int) -> Config:
         lo, hi = self.occ_span[t].tolist()
@@ -143,7 +149,8 @@ class SpaceTimeBlock(ArrayFields):
 
     def carrier(self, t: int) -> CarrierPath:
         lo, hi = self.load_span[t].tolist()
-        return CarrierPath(self.offset + lo, self.load[t, lo:hi], self.left_currents[t])
+        return CarrierPath(self.offset + lo, self.load[t, lo:hi],
+                           _resolve_seed(self.boundary, t))
 
     @cached_property
     def rows(self) -> Tuple[Tuple[Config, CarrierPath], ...]:
@@ -154,8 +161,8 @@ class SpaceTimeBlock(ArrayFields):
 def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBlock:
     """Evolve t_max steps recording every row with its carrier.
 
-    Seeds for rows 0..t_max come from the boundary mode; an
-    ``IidInvariant`` block keeps only the currents its rows use.
+    The load entering each of rows 0..t_max comes from the boundary mode;
+    an ``IidInvariant`` block keeps only the currents its rows use.
     Zero-padded rows are drained and then padded to a common window; Detect
     rows shrink from the left as determinacy is lost.
     """
@@ -163,16 +170,15 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBl
         raise InvalidParams(f"step count must be >= 0, got {t_max}")
     if J != c.J:
         raise InvalidParams(f"config carries J={c.J}, got J={J}")
-    occ, load, seeds = [], [], []
+    occ, load = [], []
     start, eta = c.offset, c.cells
     for t in range(t_max + 1):
-        seed = _resolve_seed(c, t)
+        seed = _resolve_seed(c.boundary, t)
         i, w, nxt = advance_row(J, K, eta, seed, c.boundary)
         if len(w) > len(eta):   # drained past the window end
             eta = np.concatenate([eta, np.zeros(len(w) - len(eta), dtype=np.int64)])
         occ.append((start, eta))
         load.append((start + i, w))
-        seeds.append(seed)
         if not len(nxt) and t < t_max:
             raise Undetermined("window exhausted during block evolution")
         start, eta = start + i + (seed is None), nxt
@@ -183,8 +189,8 @@ def evolve_block(J: Capacity, K: Capacity, c: Config, t_max: int) -> SpaceTimeBl
         hi = len(occ[-1][1])
         occ, load = ([(s, np.pad(v, (0, hi - len(v)))) for s, v in rows] for rows in (occ, load))
     elif isinstance(boundary, IidInvariant):
-        boundary = IidInvariant(tuple(seeds))
-    return SpaceTimeBlock.from_spans(J, K, occ, load, seeds, boundary)
+        boundary = IidInvariant(tuple(boundary.currents[:t_max + 1]))
+    return SpaceTimeBlock.from_spans(J, K, occ, load, boundary)
 
 
 def current_column(b: SpaceTimeBlock, n: int) -> Tuple[Optional[int], ...]:

@@ -60,7 +60,7 @@ def sample_stationary_block(J: Capacity, K: Capacity, mu: Pmf, L: int,
     and evolve deterministically; the block law equals the restriction of
     the stationary dynamics exactly when mu is invariant (a warning is
     recorded in the metadata otherwise)."""
-    spec = rng if isinstance(rng, RngSpec) else RngSpec(int(rng))
+    spec = rng if isinstance(rng, RngSpec) else RngSpec(rng)
     result = classify_invariant(J, K, mu)
     meta: Dict[str, object] = {"verdict": result.verdict}
     if result.invariant:
@@ -144,6 +144,8 @@ def invariance_mc_test(J: Capacity, K: Capacity, mu: Pmf, L: int, T_max: int,
     law: marginal and disjoint adjacent-pair chi-square plus per-row total
     variation distances.  Replica r draws from ``RngSpec(rng, r)``; its
     p-values are combined by Fisher's method and tested at level 0.01."""
+    if replicas < 1:
+        raise InvalidParams(f"need replicas >= 1, got {replicas}")
     probs = mu.array()
     A = len(probs)
     pair_probs = np.multiply.outer(probs, probs).ravel()

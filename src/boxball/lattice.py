@@ -27,13 +27,6 @@ class ZeroPad:
 
 
 @dataclass(frozen=True)
-class SeededCarrier:
-    """Caller supplies the load entering the window, the same every step."""
-
-    seed: int
-
-
-@dataclass(frozen=True)
 class Detect:
     """Force a carrier value from the window contents using the floor r."""
 
@@ -47,7 +40,7 @@ class IidInvariant:
     currents: Tuple[int, ...]
 
 
-BoundaryMode = Union[ZeroPad, SeededCarrier, Detect, IidInvariant]
+BoundaryMode = Union[ZeroPad, Detect, IidInvariant]
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ every output bit-identical.
 
 ``manifest(tmp)`` runs ``step``, ``inverse_step``, ``sweep``,
 ``canonical_carrier`` and ``detect_seed`` on random windows, ``evolve_block``
-under ZeroPad, SeededCarrier and Detect(0) (with its CSV bytes and the
-``duality_verify`` counts), ``sample_stationary_block`` and the speed records
-at t_max = 60, over J, K in {1, 2, 3, 5, inf} and two seeds.  Integer outputs
-are stored as digests of their little-endian int64 bytes, so the manifest
-does not depend on the container type of a window; an expected error is
-stored by type and message.  ``duals()`` stores the ``dual_measure`` weights
-and ``truncated`` flag over the stbGeo grid of acceptance criterion 7 and
-four K = inf measures as values, for a comparison within an absolute
-tolerance.  ``tests/test_golden.py`` compares a fresh run with ``rows.json``.
+under ZeroPad, a constant IidInvariant (keyed "seeded") and Detect(0) (with
+its CSV bytes and the ``duality_verify`` counts), ``sample_stationary_block``
+and the speed records at t_max = 60, over J, K in {1, 2, 3, 5, inf} and two
+seeds.  Integer outputs are stored as digests of their little-endian int64
+bytes, so the manifest does not depend on the container type of a window;
+an expected error is stored by type and message.  ``duals()`` stores the
+``dual_measure`` weights and ``truncated`` flag over the stbGeo grid of
+acceptance criterion 7 and four K = inf measures as values, for a comparison
+within an absolute tolerance.  ``tests/test_golden.py`` compares a fresh run
+with ``rows.json``.
 
 Regenerate the stored manifest only on purpose, when an output is meant to
 change:
@@ -33,7 +34,7 @@ from boxball import (
     INF,
     Config,
     Detect,
-    SeededCarrier,
+    IidInvariant,
     ZeroPad,
     Pmf,
     bernoulli,
@@ -104,7 +105,8 @@ def _regime(J, K, seed, tmp):
     cells = tuple(rng.integers(0, top + 1, size=24).tolist())
     s = int(rng.integers(0, min(K, 4) + 1))
     out = {}
-    for name, bnd in (("zero", ZeroPad()), ("seeded", SeededCarrier(s)), ("detect", Detect(0))):
+    for name, bnd in (("zero", ZeroPad()), ("seeded", IidInvariant((s,) * (T_BLOCK + 1))),
+                      ("detect", Detect(0))):
         c = Config(1, cells, J, bnd)
         out[f"step.{name}"] = _outcome(lambda: _config(step(J, K, c)))
         out[f"canonical_carrier.{name}"] = _outcome(lambda: _carrier(canonical_carrier(J, K, c)))

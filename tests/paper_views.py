@@ -238,7 +238,7 @@ def tagged_evolve(J, K, c: Config, t_max: int, tracked: Optional[int] = None,
     trajectory = [locate(tracked)]
     next_low = 0
     for t in range(t_max):
-        seed = _resolve_seed(c, t)
+        seed = _resolve_seed(c.boundary, t)
         if seed is None:
             raise ValueError("tagged dynamics need a seeded boundary mode")
         queue = list(range(next_low - seed, next_low))

@@ -8,7 +8,6 @@ from boxball import (
     IidInvariant,
     INF,
     SeedReport,
-    SeededCarrier,
     canonical_carrier,
     detect_seed,
     evolve_block,
@@ -326,7 +325,7 @@ def test_canonical_detect_propagates_from_seed():
 
 
 def test_canonical_supplied_seed():
-    c = cfg(0, (1, 0, 1), 1, SeededCarrier(1))
+    c = cfg(0, (1, 0, 1), 1, IidInvariant((1,)))
     w = canonical_carrier(1, 2, c)
     assert w.left_seed == 1
     c = cfg(0, (1, 0, 1), 1, IidInvariant((1, 0)))
@@ -337,7 +336,7 @@ def test_canonical_supplied_seed():
 def test_seeded_rows_validate_K():
     # a K that is neither a positive integer nor inf is a parameter error,
     # not a seed outside [0, K] or a row with all-zero loads
-    for boundary in (None, SeededCarrier(1), IidInvariant((1, 0))):
+    for boundary in (None, IidInvariant((1, 1, 1)), IidInvariant((1, 0))):
         c = cfg(0, (1, 0, 2), 2, boundary)
         for K in (0, -1, 2.5, True):
             for call in (lambda: evolve_block(2, K, c, 2), lambda: step(2, K, c),
@@ -357,7 +356,7 @@ def test_j_mismatch_is_a_parameter_error():
 
 def test_seed_outside_capacity_is_an_invalid_cell():
     with pytest.raises(InvalidCell, match=r"seed 4 outside \[0, 3\]"):
-        step(2, 3, Config(1, (1, 0), 2, SeededCarrier(4)))
+        step(2, 3, Config(1, (1, 0), 2, IidInvariant((4,))))
 
 
 def test_canonical_undetermined():

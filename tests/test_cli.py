@@ -16,7 +16,7 @@ from boxball.carrier import CarrierPath
 from boxball.cli import main
 from boxball.errors import InvalidParams, Undetermined
 from boxball.evolution import duality_verify, evolve_block
-from boxball.lattice import Config, Detect, IidInvariant, SeededCarrier, ZeroPad
+from boxball.lattice import Config, Detect, IidInvariant, ZeroPad
 from boxball.measures import sample_pmf
 
 from block_rows import block_from_rows
@@ -224,6 +224,7 @@ def test_malformed_or_missing_input_file_is_usage_error(tmp_path, capsys):
     carrier = tmp_path / "block.carrier.csv"
     # each case rewrites files of a good block; the first file is the one named
     for files in [{currents: "t,current\n0\n1,0\n2,0\n"},     # row 0 lacks its value
+                  {currents: "t,zero\n0,0\n1,2\n2,0\n"},   # zero padding, load 2 enters
                   {out: "t\n0\n1\n2\n"},                    # header without sites
                   {out: "t,n0\n", carrier: "t,n0\n", currents: "t,zero\n"}]:   # no rows
         assert run(argv) == 0
@@ -400,7 +401,8 @@ def test_grid_reader_matches_row_by_row_reference(tmp_path):
 
 
 def test_block_csv_round_trip_over_capacities(tmp_path):
-    # stationary, zero-padded and Detect blocks of every capacity pair
+    # stationary, zero-padded, constant-current and Detect blocks of every
+    # capacity pair
     path = str(tmp_path / "b.csv")
     caps = (1, 2, 3, 5, 12, INF)
     rng = np.random.default_rng(5)
@@ -411,7 +413,8 @@ def test_block_csv_round_trip_over_capacities(tmp_path):
                   else stbgeo(J, 0.5 if K == INF else 0.9, 1, 1))
             cells = sample_pmf(mu, rng, 40)
             blocks = [sample_stationary_block(J, K, mu, 50, 6, int(rng.integers(2 ** 31)))[0],
-                      evolve_block(J, K, Config(0, cells, J), 6)]
+                      evolve_block(J, K, Config(0, cells, J), 6),
+                      evolve_block(J, K, Config(0, cells, J, IidInvariant((min(K, 3),) * 7)), 6)]
             # a Detect window of random cells until one forces every row
             for _ in range(20):
                 window = Config(1, sample_pmf(mu, rng, 300), J, Detect())
@@ -420,7 +423,7 @@ def test_block_csv_round_trip_over_capacities(tmp_path):
                     break
                 except Undetermined:
                     pass
-            assert (len(blocks) == 2) == (J < K == INF), (J, K)
+            assert (len(blocks) == 3) == (J < K == INF), (J, K)
             for block in blocks:
                 got = write_block_csv(block, path)
                 ref = reference_block_csv(block, str(tmp_path / "ref.csv"))
@@ -432,6 +435,20 @@ def test_block_csv_round_trip_over_capacities(tmp_path):
                     assert c == Config(c.offset, c.cells.tolist(), J, block.boundary)
                 wide += max(int(block.occ.max()), int(block.load.max())) >= 10
     assert wide >= 10
+
+
+def test_seeded_boundary_writes_constant_currents(tmp_path):
+    # --boundary seeded is one load entering every row: the same three files
+    # as --boundary iid with that load repeated
+    argv = ["evolve", "--J", "3", "--K", "2", "--config", "0:3,1,0,2,3,3", "--steps", "4"]
+    seeded, iid = str(tmp_path / "seeded.csv"), str(tmp_path / "iid.csv")
+    assert run(argv + ["--boundary", "seeded", "--carrier-seed", "2", "--out", seeded]) == 0
+    assert run(argv + ["--boundary", "iid", "--currents", "2,2,2,2,2", "--out", iid]) == 0
+    for tag in ("", ".carrier", ".currents"):
+        assert (open(seeded[:-4] + tag + ".csv", "rb").read()
+                == open(iid[:-4] + tag + ".csv", "rb").read()), tag
+    assert read_block_csv(seeded, 3, 2) == evolve_block(
+        3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, IidInvariant((2,) * 5)), 4)
 
 
 def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
@@ -446,7 +463,7 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
     wide = evolve_block(12, 5, Config(-3, (12, 11, 0, 10, 9, 12, 3), 12), 6)
     heavy = evolve_block(INF, INF, Config(1, (14, 0, 3, 0, 27), INF,
                                           IidInvariant((13, 0, 41, 7))), 3)
-    seeded = evolve_block(3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, SeededCarrier(2)), 4)
+    seeded = evolve_block(3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, IidInvariant((2,) * 5)), 4)
     # signed loads out to the int64 range
     signed = block_from_rows(2, 3, ((Config(0, (1, 0, 2, 1, 0), 2), CarrierPath(
         0, (-1, -10, 10**18, 2**63 - 1, -2**63), None)),))

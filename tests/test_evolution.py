@@ -6,8 +6,8 @@ from boxball import (
     Detect,
     IidInvariant,
     INF,
-    SeededCarrier,
     SpaceTimeBlock,
+    ZeroPad,
     bernoulli,
     current_column,
     duality_verify,
@@ -17,7 +17,13 @@ from boxball import (
     step,
     uniform,
 )
-from boxball.errors import BoundaryNotReversible, InvalidCell, OutOfWindow, Undetermined
+from boxball.errors import (
+    BoundaryNotReversible,
+    InvalidCell,
+    InvalidParams,
+    OutOfWindow,
+    Undetermined,
+)
 from boxball.evolution import DualityReport
 from boxball.local_rules import local_map
 
@@ -65,7 +71,7 @@ def test_step_inverse_round_trip_randomized():
 
 
 def test_inverse_needs_reversible_boundary():
-    c = cfg(0, (1, 0), 1, SeededCarrier(1))
+    c = cfg(0, (1, 0), 1, IidInvariant((1,)))
     with pytest.raises(BoundaryNotReversible):
         inverse_step(1, 2, c)
 
@@ -129,6 +135,18 @@ def test_block_ball_conservation_zero_pad():
         b = evolve_block(J, K, c, 5)
         counts = {int(b.config(t).cells.sum()) for t in range(6)}
         assert len(counts) == 1
+
+
+def test_block_holds_one_current_per_row():
+    # the boundary alone gives the loads entering the rows
+    rows = [(0, (1, 0, 2))] * 3
+    for currents in ((1, 0), (1, 0, 2, 1)):
+        with pytest.raises(InvalidParams, match="3 rows needs 3 currents"):
+            SpaceTimeBlock.from_spans(2, 3, rows, rows, IidInvariant(currents))
+    b = SpaceTimeBlock.from_spans(2, 3, rows, rows, IidInvariant((1, 0, 2)))
+    assert b.left_currents == (1, 0, 2) and b.carrier(2).left_seed == 2
+    assert SpaceTimeBlock.from_spans(2, 3, rows, rows, ZeroPad()).left_currents == (0, 0, 0)
+    assert SpaceTimeBlock.from_spans(2, 3, rows, rows, Detect()).left_currents == (None,) * 3
 
 
 def test_current_column_single_ball():
@@ -200,7 +218,7 @@ def with_row(b, t, cells=None, loads=None):
         occ[t] = (occ[t][0], cells)
     if loads is not None:
         load[t] = (load[t][0], loads)
-    return SpaceTimeBlock.from_spans(b.J, b.K, occ, load, b.left_currents, b.boundary)
+    return SpaceTimeBlock.from_spans(b.J, b.K, occ, load, b.boundary)
 
 
 DUAL_CAPS = [1, 2, 3, 5, INF]

@@ -13,7 +13,6 @@ from boxball import (
     INF,
     Pmf,
     RngSpec,
-    SeededCarrier,
     ZeroPad,
     bernoulli,
     classify_invariant,
@@ -96,8 +95,7 @@ def fold_block(J, K, c, t_max):
             rows.append((start, cells, start + i, loads[i:], None))
             start, cells = start + i + 1, out[i + 1:]
             continue
-        seed = (0 if isinstance(b, ZeroPad) else b.seed if isinstance(b, SeededCarrier)
-                else b.currents[t])
+        seed = 0 if isinstance(b, ZeroPad) else b.currents[t]
         loads, out = fold_row(J, K, cells, seed)
         while isinstance(b, ZeroPad) and loads[-1] > 0:
             cells = cells + [0]
@@ -153,7 +151,7 @@ def test_sampler_equals_row_by_row_evolution():
             seeds = range(min(K, 4) + 1)
             # more currents than rows, of which the block keeps the first six
             currents = tuple(rng.choice(seeds, 8).tolist())
-            for boundary in [ZeroPad(), ZeroPad(), SeededCarrier(int(rng.choice(seeds))),
+            for boundary in [ZeroPad(), ZeroPad(), IidInvariant((int(rng.choice(seeds)),) * 6),
                              IidInvariant(currents), Detect(0), Detect(0), Detect(1)]:
                 r = boundary.floor if isinstance(boundary, Detect) else 0
                 if min(J, K) <= 2 * r:
@@ -262,6 +260,13 @@ def test_invariance_mc_test_rejects_non_invariant():
     assert rep.marginal_p < 1e-3
 
 
+def test_invariance_mc_test_needs_a_replica():
+    # Fisher's method over no replicas gives p = 1: no data must not pass
+    for replicas in (0, -1):
+        with pytest.raises(InvalidParams, match="replicas >= 1"):
+            invariance_mc_test(1, INF, bernoulli(0.25), 10, 2, replicas, 7)
+
+
 def test_current_iid_test_accepts_true_dual():
     mu = bernoulli(0.25)
     nu = dual_measure(1, INF, mu)
@@ -315,6 +320,17 @@ def test_calls_take_an_int_seed():
         speed_estimate(1, INF, bernoulli(0.25), 20, 2, RngSpec(7, 5))
     with pytest.raises(TypeError):
         invariance_mc_test(1, INF, bernoulli(0.25), 20, 2, 1, RngSpec(7, 5))
+    # the sampler takes an int or an RngSpec; a float is refused, not truncated
+    mu = uniform(3)
+    with pytest.raises(TypeError):
+        sample_stationary_block(3, 2, mu, 12, 3, 7.9)
+    block = sample_stationary_block(3, 2, mu, 12, 3, 7)[0]
+    assert block == sample_stationary_block(3, 2, mu, 12, 3, RngSpec(7))[0]
+    spec = RngSpec(7)
+    eta = sample_pmf(mu, spec.stream("window"), 12)
+    nu = classify_invariant(3, 2, mu).dual
+    currents = tuple(sample_pmf(nu, spec.stream("currents"), 4).tolist())
+    assert block == evolve_block(3, 2, Config(1, eta, 3, IidInvariant(currents)), 3)
 
 
 def test_speed_smoke_and_reproducible():
