@@ -18,7 +18,7 @@ from .blockio import read_block_csv, write_block_csv
 from .capacities import Capacity, capacity_str, parse_capacity
 from .errors import BoxBallError, FloorTooLarge, InvalidParams
 from .evolution import duality_verify, evolve_block
-from .experiments import speed_estimate, write_jsonl, write_report_csv
+from .experiments import speed_estimate, write_jsonl
 from .lattice import Detect, IidInvariant, ZeroPad, config_from_text
 from .measures import (
     VERDICT_NOT_IN_MREV,
@@ -54,15 +54,14 @@ def _boundary_from_args(args, K: Capacity) -> object:
     if args.boundary == "seeded":
         return IidInvariant(_checked_loads("--carrier-seed", (args.carrier_seed,), K)
                             * (args.steps + 1))
-    if args.boundary == "iid":
-        if not args.currents:
-            raise InvalidParams("--boundary iid requires --currents")
-        try:
-            loads = tuple(int(v) for v in args.currents.split(","))
-        except ValueError:
-            raise InvalidParams(f"cannot parse --currents {args.currents!r}") from None
-        return IidInvariant(_checked_loads("--currents", loads, K))
-    raise InvalidParams(f"unknown boundary {args.boundary!r}")
+    # "iid": argparse choices admit no other boundary
+    if not args.currents:
+        raise InvalidParams("--boundary iid requires --currents")
+    try:
+        loads = tuple(int(v) for v in args.currents.split(","))
+    except ValueError:
+        raise InvalidParams(f"cannot parse --currents {args.currents!r}") from None
+    return IidInvariant(_checked_loads("--currents", loads, K))
 
 
 def cmd_evolve(args) -> int:
@@ -77,16 +76,10 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    """Verify the space-time duality of a block file that ``bbs evolve
+    --out`` wrote; exit 3 on a violation."""
     J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
-    if args.infile:
-        block = read_block_csv(args.infile, J, K)
-    else:
-        if not args.config:
-            raise InvalidParams("dual needs --config or --in")
-        boundary = _boundary_from_args(args, K)
-        cfg = config_from_text(args.config, J, boundary)
-        block = evolve_block(J, K, cfg, args.steps)
-    report = duality_verify(block)
+    report = duality_verify(read_block_csv(args.infile, J, K))
     print(f"violations={report.violations} checked={report.cells_checked}")
     return 0 if report.violations == 0 else DOMAIN_EXIT
 
@@ -109,7 +102,7 @@ def cmd_measure(args) -> int:
     J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     mu = pmf_from_text(args.mu)
     if args.action == "classify":
-        result = classify_invariant(J, K, mu, tol=args.tol)
+        result = classify_invariant(J, K, mu)
         line = f"{result.verdict} {_family_str(result)}"
         if result.invariant:
             line += f" residual={_fmt(result.residual)}"
@@ -131,11 +124,9 @@ def cmd_measure(args) -> int:
         nu = pmf_from_text(args.nu)
         print(f"residual={_fmt(detailed_balance_residual(J, K, mu, nu))}")
         return 0
-    if args.action == "oracle":
-        report = invariance_oracle(J, K, mu, k=args.k)
-        print(f"deviation={_fmt(report.deviation)} k={args.k}")
-        return 0
-    raise InvalidParams(f"unknown measure action {args.action!r}")
+    report = invariance_oracle(J, K, mu, k=args.k)     # action "oracle"
+    print(f"deviation={_fmt(report.deviation)} k={args.k}")
+    return 0
 
 
 def cmd_speed(args) -> int:
@@ -150,8 +141,6 @@ def cmd_speed(args) -> int:
         write_jsonl([{"record": "meta", "seed": seed,
                       "J": capacity_str(J), "K": capacity_str(K), "mu": args.mu}]
                     + est.jsonl_records(), args.out)
-    if args.out_csv:
-        write_report_csv(est.jsonl_records(), args.out_csv)
     if args.strict:
         rel = abs(est.ratio_estimate - est.theoretical) / abs(est.theoretical)
         if rel > args.tol_rel:
@@ -192,28 +181,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--J", required=True, help="box capacity (int or inf)")
         p.add_argument("--K", required=True, help="carrier capacity (int or inf)")
 
-    def add_boundary(p):
-        p.add_argument("--boundary", default="zero",
-                       choices=["zero", "detect", "seeded", "iid"])
-        p.add_argument("--floor", type=int, default=0)
-        p.add_argument("--carrier-seed", type=int, default=0)
-        p.add_argument("--currents", default="")
-
     p = sub.add_parser("evolve", help="evolve a window and write CSVs")
     add_caps(p)
     p.add_argument("--config", required=True, help="window as offset:v0,v1,...")
     p.add_argument("--steps", type=int, default=1)
-    add_boundary(p)
+    p.add_argument("--boundary", default="zero",
+                   choices=["zero", "detect", "seeded", "iid"])
+    p.add_argument("--floor", type=int, default=0)
+    p.add_argument("--carrier-seed", type=int, default=0)
+    p.add_argument("--currents", default="")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("dual", help="verify space-time duality of a block")
     add_caps(p)
-    p.add_argument("--config", default="")
-    p.add_argument("--steps", type=int, default=4)
-    add_boundary(p)
-    p.add_argument("--in", dest="infile", default="",
-                   help="read a previously written block CSV")
+    p.add_argument("--in", dest="infile", required=True,
+                   help="a block CSV written by bbs evolve --out")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("measure", help="measure-level tools")
@@ -224,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", default="")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("speed", help="tagged-particle speed estimate")
@@ -234,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=32)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="")
-    p.add_argument("--out-csv", default="")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--tol-rel", type=float, default=0.05)
     p.set_defaults(func=cmd_speed)

@@ -31,9 +31,10 @@ from .lattice import (
     Detect,
     IidInvariant,
     ZeroPad,
+    frozen_int64,
     reverse,
 )
-from .local_rules import check_cell, local_map_array
+from .local_rules import local_map_array
 
 _MAP_CELLS = 2 ** 14    # cells per local map call of duality_verify
 
@@ -83,7 +84,10 @@ class SpaceTimeBlock(ArrayFields):
     ``load_span[t]`` (half-open [lo, hi)); every other entry is 0, and the
     columns are the union of the rows' sites.  Every row shares the boundary
     mode, which gives the load entering each row (an ``IidInvariant`` holds
-    one per row); ``config(t)``, ``carrier(t)`` and ``rows`` are views."""
+    one per row); ``config(t)``, ``carrier(t)`` and ``rows`` are views.
+    The constructor decides the ranges: occupancies in [0, J], loads and
+    ``IidInvariant`` currents in [0, K] (``InvalidCell`` naming the first
+    value outside), and it marks ``occ`` and ``load`` read-only."""
 
     J: Capacity
     K: Capacity
@@ -95,18 +99,23 @@ class SpaceTimeBlock(ArrayFields):
     boundary: BoundaryMode
 
     def __post_init__(self):
-        validate_capacity(self.J, "J")
-        occ = self.occ
-        if not (occ.dtype == self.load.dtype == np.int64 and occ.ndim == 2
-                and occ.shape == self.load.shape):
+        J, K = validate_capacity(self.J, "J"), validate_capacity(self.K, "K")
+        occ, load = self.occ, self.load
+        if not (occ.dtype == load.dtype == np.int64 and occ.ndim == 2
+                and occ.shape == load.shape):
             raise InvalidParams("a block needs int64 occupancy and load arrays "
                                 "of one 2-d shape")
-        if occ.size and (occ.min() < 0 or occ.max() > self.J):
-            t, j = np.argwhere((occ < 0) | (occ > self.J))[0]
-            raise InvalidCell(f"cell value {int(occ[t, j])!r} outside [0, {self.J}]")
-        if isinstance(self.boundary, IidInvariant) and len(self.boundary.currents) != len(occ):
-            raise InvalidParams(f"a block of {len(occ)} rows needs {len(occ)} currents, "
-                                f"got {len(self.boundary.currents)}")
+        for a, cap, what in ((occ, J, "cell value"), (load, K, "load")):
+            if a.size and (a.min() < 0 or a.max() > cap):
+                t, j = np.argwhere((a < 0) | (a > cap))[0]
+                raise InvalidCell(f"{what} {int(a[t, j])!r} outside [0, {cap}]")
+            a.flags.writeable = False
+        if isinstance(self.boundary, IidInvariant):
+            currents = self.boundary.currents
+            if len(currents) != len(occ):
+                raise InvalidParams(f"a block of {len(occ)} rows needs {len(occ)} currents, "
+                                    f"got {len(currents)}")
+            frozen_int64(currents, "current", 0, K)
 
     @classmethod
     def from_spans(cls, J: Capacity, K: Capacity,
@@ -217,9 +226,8 @@ def duality_verify(b: SpaceTimeBlock) -> DualityReport:
     current column one site to its left: F2_{K,J}(W^t_n, eta^t_{n+1})
     must equal eta^{t+1}_{n+1} at every interior cell, that is wherever
     row t stores W^t_n and rows t, t+1 store the occupancy at n + 1.  Array
-    local maps of a few rows each check the whole block; loads are
-    validated as ``local_map`` does, and the first invalid cell raises its
-    error."""
+    local maps of a few rows each check the whole block, whose constructor
+    has checked every value's range."""
     J, K = b.J, b.K
     # interior columns [lo_t, hi_t) of row t, within the block's range [a, z)
     lo = np.maximum(b.load_span[:-1, 0], np.maximum(b.occ_span[:-1, 0], b.occ_span[1:, 0]) - 1)
@@ -228,12 +236,6 @@ def duality_verify(b: SpaceTimeBlock) -> DualityReport:
     cols = np.arange(a, z)
     inside = (lo[:, None] <= cols) & (cols < hi[:, None])
     w, eta = b.load[:-1, a:z], b.occ[:-1, a + 1:z + 1]
-    # validate as local_map: the first interior cell (capacities too), then
-    # the first interior load outside [0, K]
-    for cells in (inside, inside & ((w < 0) | (w > K))):
-        if cells.any():
-            t, j = _first(cells)
-            check_cell(K, J, (int(w[t, j]), int(eta[t, j])))
     # a few rows per map call, so that the map's temporaries stay small
     miss, nxt = inside.copy(), b.occ[1:, a + 1:z + 1]
     chunk = max(1, _MAP_CELLS // max(z - a, 1))

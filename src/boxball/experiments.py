@@ -383,14 +383,3 @@ def write_jsonl(records: Sequence[Dict[str, object]], path: str) -> None:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
 
-
-def write_report_csv(records: Sequence[Dict[str, object]], path: str) -> None:
-    """Flat CSV alternative to the JSON-lines report (one row per record)."""
-    keys = list(dict.fromkeys(k for rec in records for k in rec))   # first-seen order
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for rec in records:
-            fh.write(",".join(
-                "" if k not in rec else
-                (format(rec[k], ".17g") if isinstance(rec[k], float) else str(rec[k]))
-                for k in keys) + "\n")

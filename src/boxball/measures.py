@@ -29,6 +29,7 @@ _TAIL_EPS = 1e-13   # tail mass cut from stbGeo and dual pmfs on infinite suppor
 _THETA_GRID = 32    # drift exponents tried for the K = inf tail bound
 _MAX_STATES = 1 << 13   # K = inf load states: a 0.5 GB dense kernel
 _MAX_TERMS = 10 ** 7    # joint-law entries of invariance_oracle
+_CLASSIFY_TOL = 1e-9    # classify_invariant: |beta - 1| for beta = 1, and the residual
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +424,8 @@ def _unreduce(weights: Sequence[float], cap: Capacity, r: int,
     return Pmf(tuple(shifted), truncated)
 
 
-def _fit_stbgeo(weights: Tuple[float, ...], Jr: Capacity, Kr: Capacity,
-                tol: float) -> Optional[StbGeoParams]:
+def _fit_stbgeo(weights: Tuple[float, ...], Jr: Capacity,
+                Kr: Capacity) -> Optional[StbGeoParams]:
     """The bipartite geometric parameters read off the reduced weights at
     0, m and 2m, or None when the support or the capacities rule the family
     out.  The weights hold mass at 0 and past it (a point mass at 0 is a
@@ -445,7 +446,7 @@ def _fit_stbgeo(weights: Tuple[float, ...], Jr: Capacity, Kr: Capacity,
     else:
         alpha = math.sqrt(weights[2 * m] / w0)
         beta = weights[m] / (alpha * w0)
-    beta_one = abs(beta - 1.0) <= tol
+    beta_one = abs(beta - 1.0) <= _CLASSIFY_TOL
     infinite = not (is_finite(Jr) and is_finite(Kr))
     if infinite and not alpha < 1.0:
         return None
@@ -455,15 +456,15 @@ def _fit_stbgeo(weights: Tuple[float, ...], Jr: Capacity, Kr: Capacity,
     return stbgeo_params(N, alpha, 1.0 if beta_one else beta, m)
 
 
-def classify_invariant(J: Capacity, K: Capacity, mu: Pmf,
-                       tol: float = 1e-9) -> ClassifyResult:
+def classify_invariant(J: Capacity, K: Capacity, mu: Pmf) -> ClassifyResult:
     """Decide whether i.i.d.-mu configurations are invariant under the
     dynamics, and name the family: measures reduce by their distance r to
     the capacity edges (reflecting when the support hugs the full side),
     and the reduced measure must either sit inside the trivially-shifted
     band or be bipartite geometric with compatible parameters.  The detailed
     balance residual against the dual reconstructed from the family decides
-    the verdict."""
+    the verdict: invariant when it is at most 1e-9, the tolerance that also
+    reads a fitted beta within 1e-9 of 1 as beta = 1."""
     validate_capacity(J, "J")
     validate_capacity(K, "K")
     if is_finite(J) and mu.max_occupancy() > J:
@@ -490,7 +491,7 @@ def classify_invariant(J: Capacity, K: Capacity, mu: Pmf,
         family = TrivialShiftFamily(r, reflected)
         nu_reduced = reduced
     else:
-        params = _fit_stbgeo(reduced, Jr, Kr, tol)
+        params = _fit_stbgeo(reduced, Jr, Kr)
         if params is not None:
             family = StbGeoFamily(params, r, reflected)
             dual_N = INF if not is_finite(Kr) else Kr // params.m
@@ -502,7 +503,7 @@ def classify_invariant(J: Capacity, K: Capacity, mu: Pmf,
                               "reduced measure fits no invariant family")
     nu = _unreduce(nu_reduced, K, r, reflected, truncated)
     residual = detailed_balance_residual(J, K, mu, nu)
-    if residual > tol:
+    if residual > _CLASSIFY_TOL:
         return ClassifyResult(VERDICT_NOT_INVARIANT, None, residual, None,
                               "reconstructed dual fails detailed balance")
     return ClassifyResult(VERDICT_INVARIANT, family, residual, nu)

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import json
 import os
@@ -65,8 +67,9 @@ def test_evolve_detect_floor_usage_error(tmp_path):
     # J < K = inf: the same band and floor checks, though no load is forced
     assert run(["evolve", "--J", "3", "--K", "inf", "--boundary", "detect", "--floor", "1",
                 "--config", "0:0,3,0,3,1,0,0,2", "--out", str(tmp_path / "c.csv")]) == 3
-    assert run(["dual", "--J", "1", "--K", "inf", "--boundary", "detect", "--floor", "3",
-                "--config", "0:1,0,1,0,1,1,0,0"]) == 2
+    assert run(["evolve", "--J", "1", "--K", "inf", "--boundary", "detect", "--floor", "3",
+                "--config", "0:1,0,1,0,1,1,0,0", "--out", str(tmp_path / "d.csv")]) == 2
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_evolve_undetermined_detect_is_domain_error(tmp_path):
@@ -80,9 +83,8 @@ def test_running_max_detect_is_domain_error(tmp_path, capsys):
     # J < K = inf: no Detect window forces the carrier, so no block is written
     out = tmp_path / "x.csv"
     window = ["--J", "1", "--K", "inf", "--config", "0:1,0,1,0,1,0,0,1", "--steps", "1"]
-    for cmd in (["evolve", *window, "--out", str(out)], ["dual", *window]):
-        assert run(cmd + ["--boundary", "detect"]) == 3
-        assert "--carrier-seed" in capsys.readouterr().err
+    assert run(["evolve", *window, "--out", str(out), "--boundary", "detect"]) == 3
+    assert "--carrier-seed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
     assert run(["evolve", *window, "--out", str(out), "--boundary", "zero"]) == 0
     assert capsys.readouterr().err == ""
@@ -162,6 +164,24 @@ def test_dual_detects_corrupted_file(tmp_path, capsys):
             csv.writer(fh).writerows(rows)
         assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 3
         assert f"cell value {bad} outside [0, 1]" in capsys.readouterr().err
+    # so are a load and an entering current outside [0, K]
+    carrier = tmp_path / "block.carrier.csv"
+    for bad in ("3", "-1"):
+        assert run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1",
+                    "--steps", "3", "--out", str(out)]) == 0
+        rows = list(csv.reader(open(carrier, newline="")))
+        rows[2][2] = bad
+        with open(carrier, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        capsys.readouterr()
+        assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 3
+        assert f"load {bad} outside [0, 2]" in capsys.readouterr().err
+    assert run(["evolve", "--J", "1", "--K", "2", "--config", "0:1,0,1,1", "--steps", "2",
+                "--boundary", "iid", "--currents", "1,0,1", "--out", str(out)]) == 0
+    (tmp_path / "block.currents.csv").write_text("t,current\n0,9\n1,-4\n2,1\n")
+    capsys.readouterr()
+    assert run(["dual", "--J", "1", "--K", "2", "--in", str(out)]) == 3
+    assert "current 9 outside [0, 2]" in capsys.readouterr().err
 
 
 def test_dual_non_integer_field_is_usage_error(tmp_path, capsys):
@@ -464,9 +484,9 @@ def test_block_csv_bytes_match_cell_by_cell_writer(tmp_path):
     heavy = evolve_block(INF, INF, Config(1, (14, 0, 3, 0, 27), INF,
                                           IidInvariant((13, 0, 41, 7))), 3)
     seeded = evolve_block(3, 2, Config(0, (3, 1, 0, 2, 3, 3), 3, IidInvariant((2,) * 5)), 4)
-    # signed loads out to the int64 range
-    signed = block_from_rows(2, 3, ((Config(0, (1, 0, 2, 1, 0), 2), CarrierPath(
-        0, (-1, -10, 10**18, 2**63 - 1, -2**63), None)),))
+    # loads out to the int64 range, at signed sites from int64's minimum
+    signed = block_from_rows(2, INF, ((Config(-2**63, (1, 0, 2, 1, 0), 2), CarrierPath(
+        -2**63, (0, 10, 10**18, 2**63 - 1, 1), None)),))
     assert max(wide.config(0).cells) >= 10 and max(heavy.carrier(2).values) >= 10
     assert len(zero.config(6)) > 5 and detect.config(3).offset > 1
     for i, block in enumerate([zero, detect, stationary, ragged, wide, heavy, seeded,
@@ -623,8 +643,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # fewer per-step currents than rows
     assert run(["evolve", "--J", "2", "--K", "3", "--boundary", "iid", "--currents", "1",
                 "--steps", "3", "--config", "0:1,0", "--out", str(tmp_path / "x.csv")]) == 2
-    assert run(["dual", "--J", "2", "--K", "3", "--boundary", "iid", "--currents", "1,0",
-                "--config", "0:1,0"]) == 2
+    # a block file with fewer currents than rows
+    iid = tmp_path / "iid.csv"
+    assert run(["evolve", "--J", "2", "--K", "3", "--boundary", "iid", "--currents", "1,0,2",
+                "--steps", "2", "--config", "0:1,0", "--out", str(iid)]) == 0
+    (tmp_path / "iid.currents.csv").write_text("t,current\n0,1\n1,0\n")
+    capsys.readouterr()
+    assert run(["dual", "--J", "2", "--K", "3", "--in", str(iid)]) == 2
+    assert "disagree on the number of time rows" in capsys.readouterr().err
     # boundary loads outside [0, K]
     for bd in (["seeded", "--carrier-seed", "9"], ["seeded", "--carrier-seed", "-1"],
                ["iid", "--currents", "1,1,1,-1", "--steps", "3"]):
@@ -638,7 +664,10 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert cli._parser() is cli._parser()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("J = 1\nK = inf\nmu = bernoulli:0.25\nt_max = 40\nreplicas = 2\nseed = 3\n")
-    block = str(tmp_path / "block.csv")
+    block, iid = str(tmp_path / "block.csv"), str(tmp_path / "iid.csv")
+    assert main(["evolve", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--steps", "4",
+                 "--boundary", "iid", "--currents", "1,0,2,1,0", "--out", iid]) == 0
+    capsys.readouterr()
     calls = [
         ["speed", "--config-file", str(cfg), "--strict", "--tol-rel", "1e-12"],
         ["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
@@ -649,8 +678,9 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
          "--boundary", "seeded", "--carrier-seed", "1", "--out", block],
         ["evolve", "--J", "3"],     # a usage error: argparse exits
         ["evolve", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--out", block],
-        ["dual", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--boundary", "iid",
-         "--currents", "1,0,2,1,0"],
+        ["evolve", "--J", "2", "--K", "3", "--config", "0:1,2,0", "--boundary", "iid",
+         "--currents", "1,0,2,1,0", "--out", block],
+        ["dual", "--J", "2", "--K", "3", "--in", iid],
     ]
 
     def outcome(argv):
@@ -669,6 +699,51 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert cached[:len(calls)] == fresh
     assert cached[len(calls):] == fresh[::-1]
     codes = [c[0] for c in fresh]
-    assert codes == [4, 0, 0, 0, 0, ("exit", 2), 0, 0]
+    assert codes == [4, 0, 0, 0, 0, ("exit", 2), 0, 0, 0]
+    assert fresh[-1][1].startswith("violations=0 ")
     assert "t_max=40 replicas=2" in fresh[0][1] and "t_max=2000 replicas=1" in fresh[1][1]
     assert "t_max=30 replicas=2" in fresh[3][1]
+
+
+def _call_literals():
+    """The string literals of each run or main call of this file: a name in
+    the call's arguments stands for the literals of every value that an
+    assignment or a for loop of the same test binds to it."""
+    with open(__file__) as fh:
+        tree = ast.parse(fh.read())
+    calls = []
+    for fn in (n for n in tree.body if isinstance(n, ast.FunctionDef)):
+        bound = {}
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.For)):
+                targets, value = ((node.targets, node.value) if isinstance(node, ast.Assign)
+                                  else ([node.target], node.iter))
+                for name in (n for t in targets for n in ast.walk(t)):
+                    if isinstance(name, ast.Name):
+                        bound.setdefault(name.id, []).append(value)
+
+        def literals(node, seen):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+                elif isinstance(sub, ast.Name) and sub.id not in seen:
+                    for value in bound.get(sub.id, ()):
+                        yield from literals(value, seen | {sub.id})
+
+        calls += [set(literals(node, frozenset())) for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("run", "main")]
+    return calls
+
+
+def test_every_option_is_exercised():
+    # an option no test passes is a knob nothing checks: each option of each
+    # subcommand must be a literal of a run or main call naming that subcommand
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    calls = _call_literals()
+    missing = [(name, opt) for name, p in commands.items()
+               for opt in (o for a in p._actions for o in a.option_strings)
+               if opt not in ("-h", "--help")
+               and not any(name in c and opt in c for c in calls)]
+    assert not missing

@@ -262,23 +262,31 @@ def test_duality_verify_equals_reference_fold():
     assert shrinking > 0
 
 
-def test_duality_verify_rejects_invalid_loads():
+def test_block_rejects_invalid_loads():
+    # the block constructor decides every range, so duality_verify checks none
     b = evolve_block(2, 3, cfg(0, (2, 1, 0, 2, 1), 2), 3)
+    assert not (b.occ.flags.writeable or b.load.flags.writeable)
     w0 = b.carrier(1)
     for v in (4, -1):
         loads = w0.values.tolist()
         loads[2] = v
-        with pytest.raises(InvalidCell, match=f"occupancy {v} outside"):
-            duality_verify(with_row(b, 1, loads=loads))
+        with pytest.raises(InvalidCell, match=f"load {v} outside"):
+            with_row(b, 1, loads=loads)
+    rows = [(0, (1, 0, 2))] * 2
+    for v in (4, -1):
+        with pytest.raises(InvalidCell, match=f"current {v} outside"):
+            SpaceTimeBlock.from_spans(2, 3, rows, rows, IidInvariant((1, v)))
+    with pytest.raises(InvalidParams, match="K must be"):
+        SpaceTimeBlock.from_spans(2, 0, rows, rows, ZeroPad())
     binf = evolve_block(1, INF, cfg(0, (1, 0, 1, 1), 1), 2)
     loads = binf.carrier(0).values.tolist()
     loads[1] = -1
-    with pytest.raises(InvalidCell):
-        duality_verify(with_row(binf, 0, loads=loads))
+    with pytest.raises(InvalidCell, match="load -1 outside"):
+        with_row(binf, 0, loads=loads)
     for v in (1.0, 1.7, "1"):
         loads[1] = v
         with pytest.raises(InvalidCell, match="must be integers"):
-            duality_verify(with_row(binf, 0, loads=loads))
+            with_row(binf, 0, loads=loads)
 
 
 def test_intertwining_column_shift():

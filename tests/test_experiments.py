@@ -588,13 +588,3 @@ def test_speed_error_shrinks_with_t_max():
     assert errs[2] < errs[1] < errs[0]
     assert errs[2] < 0.015
 
-
-def test_write_report_csv(tmp_path):
-    from boxball.experiments import write_report_csv
-
-    est = speed_estimate(1, 2, bernoulli(0.3), t_max=40, replicas=2, rng=4)
-    path = tmp_path / "report.csv"
-    write_report_csv(est.jsonl_records(), str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("record,")
-    assert len(lines) == 4
