@@ -3,7 +3,7 @@ and estimate tagged-particle speeds, reproducibly.
 
 Exit codes: 0 success, 2 bad flags or unreadable input files, 3 domain
 error (undetermined carrier, non-reversible measure, broken duality), 4
-statistical failure under --strict.
+under --strict, a speed estimate more than 4 standard errors from theory.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .measures import (
 )
 
 USAGE_EXIT, DOMAIN_EXIT, STAT_EXIT = 2, 3, 4
+_STRICT_SE = 4    # --strict: the estimate must be within this many standard errors
 
 
 def _fmt(x: float) -> str:
@@ -132,6 +133,8 @@ def cmd_measure(args) -> int:
 def cmd_speed(args) -> int:
     J, K = parse_capacity(args.J, "J"), parse_capacity(args.K, "K")
     mu = pmf_from_text(args.mu)
+    if args.strict and args.replicas < 2:
+        raise InvalidParams("--strict needs --replicas >= 2 for a standard error")
     seed = args.seed if args.seed is not None else secrets.randbits(48)
     est = speed_estimate(J, K, mu, args.t_max, args.replicas, seed)
     print(f"seed={seed} estimate={_fmt(est.ratio_estimate)} "
@@ -141,11 +144,10 @@ def cmd_speed(args) -> int:
         write_jsonl([{"record": "meta", "seed": seed,
                       "J": capacity_str(J), "K": capacity_str(K), "mu": args.mu}]
                     + est.jsonl_records(), args.out)
-    if args.strict:
-        rel = abs(est.ratio_estimate - est.theoretical) / abs(est.theoretical)
-        if rel > args.tol_rel:
-            print(f"strict: relative error {_fmt(rel)} exceeds {args.tol_rel}")
-            return STAT_EXIT
+    err = abs(est.ratio_estimate - est.theoretical)
+    if args.strict and err > _STRICT_SE * est.std_error:
+        print(f"strict: error {_fmt(err)} exceeds {_STRICT_SE} standard errors")
+        return STAT_EXIT
     return 0
 
 
@@ -217,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--tol-rel", type=float, default=0.05)
     p.set_defaults(func=cmd_speed)
     return parser
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .measures import (
     sample_pmf,
 )
 
-_ROLE_IDS = {"window": 1, "currents": 2}
+_ROLE_IDS = {"window": 1, "currents": 2, "tag": 3}
 _SIGNIFICANCE = 0.01    # level of every chi-square test of this module
 
 
@@ -243,18 +243,13 @@ _DRAW_CHUNK = 256
 _LANE_BUDGET = 2 ** 16
 
 
-def _draw_sites(mu: Pmf, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Initial-row sites 1, 2, ... in arrays of ``_DRAW_CHUNK`` sites; the
-    chunks equal one long ``sample_pmf`` draw from the same generator."""
-    while True:
-        yield sample_pmf(mu, rng, _DRAW_CHUNK)
-
-
 def _track_replicas(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf, t_max: int,
                     specs: Sequence[RngSpec]) -> List[Dict[str, float]]:
     """The records of the replicas of ``specs``, tracked in one wavefront.
 
-    Each replica follows the left-most ball at site >= 1 for t_max steps.
+    Each replica follows a Palm ball for t_max steps: the ``tag`` stream draws
+    site 1's a balls from a mu(a) / E mu and the ball's rank r uniformly in
+    1..a, so E[x_final - 1] = t_max E nu / E mu at every t_max (mass transport).
     The block is filled one anti-diagonal t + n - 1 = d at a time: cell
     (t, n) takes its occupancy from (t - 1, n) and its load from (t, n - 1),
     so a diagonal is one map over the row lanes t = 0 .. min(d, t_max - 1)
@@ -268,45 +263,48 @@ def _track_replicas(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf, t_max: int,
     ``exchange_map``, at the sign (-1)**d with the occupancy as X for
     J <= K, and at -(-1)**d with the load as X for J > K.
 
-    Each replica draws its initial row from its own stream, C sites per
-    chunk; a chunk's C diagonals are one ``exchange_map`` call.  Row t_max's
-    cells are left behind the lanes and are counted once per chunk.  The
-    ball is found by its rank.  A site's pool is its entering queue, then
-    its box balls, and the first a' of it stay, so no ball overtakes
+    Each replica draws its initial row from its ``window`` stream, C sites
+    per chunk, and site 1 of the first chunk is the tag draw; a chunk's C
+    diagonals are one ``exchange_map`` call.  Row t_max's cells are left
+    behind the lanes and are counted once per chunk.  The ball is found by
+    its rank.  A site's pool is its entering queue, then its box balls (each
+    ranked from the bottom), and the first a' of it stay, so no ball overtakes
     another, and the balls entering at the left boundary pass in ahead of
     every ball already at a site >= 1.  At time t_max the ball is therefore
-    the (1 + sum of the currents)-th ball counted from site 1: the first
+    the (r + sum of the currents)-th ball counted from site 1: the first
     diagonal on which the count of row t_max's balls reaches that rank fixes
     the record.  ``tagged_evolve`` of ``tests/paper_views.py``, which moves
     every ball, checks this.  The dtype is ``exchange_form``'s for the most
     balls any replica has entered, checked per chunk, and the wavefront runs
     until every replica has its record."""
     R, C = len(specs), _DRAW_CHUNK
-    draws = [_draw_sites(mu, s.stream("window")) for s in specs]
+    draws = [s.stream("window") for s in specs]
     currents = np.stack([sample_pmf(nu, s.stream("currents"), t_max) for s in specs], axis=1)
+    palm = Pmf(tuple((np.arange(len(mu)) * mu.array() / mean_occupancy(mu)).tolist()))
+    tags = [s.stream("tag") for s in specs]
+    site1 = np.concatenate([sample_pmf(palm, g, 1) for g in tags])
     balls = currents.sum(axis=0)
-    rank = balls + 1
+    rank = balls + 1 + np.array([g.integers(a) for g, a in zip(tags, site1)])
     lo, dtype, _ = exchange_form(J, K, int(balls.max()))
     alt = 1 - 2 * (np.arange(max(C, t_max)) & 1)    # (-1)**k
     load = (alt[:t_max, None] * (2 * currents - lo)).astype(dtype)    # lane t joins at d = t
     strip = np.zeros((C + t_max - 1, R), dtype=dtype)
     q, t = scratch = np.empty((2, t_max, R), dtype=dtype)
-    x0 = np.zeros(R, dtype=np.int64)
     count = np.zeros(R, dtype=np.int64)    # balls of row t_max at the sites passed
     records: List[Optional[Dict[str, float]]] = [None] * R
     diagonals: List[Tuple[np.ndarray, ...]] = []
     steady = False    # every diagonal of ``diagonals`` maps all t_max lanes
     d0 = 0
     while None in records:
-        chunk = np.stack([next(g) for g in draws], axis=1)    # sites d0 + 1 .. d0 + C
+        chunk = np.stack([sample_pmf(mu, g, C) for g in draws], axis=1)  # sites d0 + 1 .. d0 + C
+        if d0 == 0:
+            chunk[0] = site1
         balls += chunk.sum(axis=0)
         _, new_dtype, top = exchange_form(J, K, int(balls.max()))
         if new_dtype != dtype:    # promoted once, if at all
             dtype, steady = new_dtype, False
             strip, load = strip.astype(dtype), load.astype(dtype)
             q, t = scratch = scratch.astype(dtype)
-        first = np.flatnonzero((x0 == 0) & chunk.any(axis=0))
-        x0[first] = d0 + 1 + (chunk[:, first] != 0).argmax(axis=0)
         sign = 1 - 2 * (d0 & 1)    # (-1)**d0
         # site d0 + 1 + j enters at strip row C - 1 - j
         strip[C - 1::-1] = (-sign * alt[:C, None]) * (2 * chunk - lo)
@@ -334,9 +332,8 @@ def _track_replicas(J: Capacity, K: Capacity, mu: Pmf, nu: Pmf, t_max: int,
                 if records[r] is None:
                     d = d0 + int(ks[r])
                     x_final = d - t_max + 2
-                    records[r] = {
-                        "replica": float(specs[r].replica_index), "x0": float(x0[r]),
-                        "x_final": float(x_final), "ratio": x_final / t_max,
+                    records[r] = {"replica": float(specs[r].replica_index),
+                        "x_final": float(x_final), "ratio": (x_final - 1) / t_max,
                         "window": float(d + 1), "attempt": 0.0,
                         "cells": float(t_max * (2 * d - t_max + 3) // 2)}
             count = cum[-1]
@@ -349,10 +346,11 @@ def speed_estimate(J: Capacity, K: Capacity, mu: Pmf, t_max: int,
                    replicas: int, rng: int) -> SpeedEstimate:
     """Monte Carlo estimate of the tagged-particle speed (theory: dual mean
     over measure mean).  Replica r uses the streams of ``RngSpec(rng, r)``
-    and records ``x0``, ``x_final``, ``window`` (initial sites used:
-    sites 1..window, about t_max + x_final), ``cells`` (the block's cells:
-    min(d + 1, t_max) on each diagonal d < window) and ``attempt`` (always
-    0: sites are drawn on demand, so none run out).  The replicas are
+    and records ``x_final`` (the site at t_max of a Palm ball at site 1, see
+    ``_track_replicas``), ``ratio`` ((x_final - 1) / t_max, unbiased),
+    ``window`` (initial sites used: sites 1..window, about t_max + x_final),
+    ``cells`` (the block's cells: min(d + 1, t_max) on each diagonal
+    d < window) and ``attempt`` (always 0: sites are drawn on demand).  The replicas are
     tracked ``_LANE_BUDGET // t_max`` (at least one) to a wavefront, so the
     default 32 at t_max = 2000 share one; a record does not depend on the
     batching, nor on the other replicas of the call."""

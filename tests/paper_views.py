@@ -1,12 +1,15 @@
 """The paper's views of the box-ball dynamics, kept as the references that
 tests compare the program against: the cases and symmetries of the local
 map, path encodings and the reflected-path (Pitman) transform for J < K,
-zero-padded window equality and the per-ball tagged dynamics.  The package
-calls none of them.  A violated precondition raises ValueError."""
+zero-padded window equality, the per-ball tagged dynamics and the exact
+one-step mean of a Palm-tagged ball.  The package calls none of them.  A
+violated precondition raises ValueError."""
 
 import enum
+import math
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from boxball import INF, Config, ZeroPad, local_map
 from boxball.capacities import is_finite
@@ -253,3 +256,34 @@ def tagged_evolve(J, K, c: Config, t_max: int, tracked: Optional[int] = None,
             i += 1
         trajectory.append(locate(tracked))
     return trajectory, sites
+
+
+def palm_step_mean(J, K, mu, nu) -> float:
+    """E[x_1 - x_0] of a Palm ball, with no sampling.  Site 1 holds a balls
+    with probability a mu(a) / E mu, the tagged ball is the r-th of them
+    (r uniform in 1..a) and the load entering site 1 has the law nu.  The
+    ball is followed site by site as a Markov chain on (its place p in the
+    queue that leaves a site, that queue's length W): at the next site the
+    pool is the W queued balls, then the a ~ mu box balls, and the first a'
+    of ``local_map`` stay, so the ball stays there if p <= a' and is else
+    p - a'-th in the next queue.  The mean is the sum over n >= 1 of the
+    mass that leaves site n, summed until it falls below 1e-18."""
+    boxes = [(a, w) for a, w in enumerate(mu.weights) if w]
+    mean = sum(a * w for a, w in boxes)
+    mass: Dict[Tuple[int, int], float] = defaultdict(float)
+    for b, wb in enumerate(nu.weights):
+        for a, wa in boxes:
+            keep, out = local_map(J, K, (a, b))
+            for p in range(max(b, keep) + 1, b + a + 1):    # the tagged ball is p-th in the pool
+                mass[p - keep, out] += wb * wa / mean
+    total = 0.0
+    while (left := math.fsum(mass.values())) >= 1e-18:
+        total += left
+        moved: Dict[Tuple[int, int], float] = defaultdict(float)
+        for (p, W), w in mass.items():
+            for a, wa in boxes:
+                keep, out = local_map(J, K, (a, W))
+                if p > keep:
+                    moved[p - keep, out] += w * wa
+        mass = moved
+    return total

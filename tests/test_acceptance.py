@@ -48,6 +48,7 @@ from boxball.measures import StbGeoFamily, VERDICT_INVARIANT, VERDICT_NOT_INVARI
 
 from paper_views import (
     PathEncoding,
+    palm_step_mean,
     path_decode,
     path_encode,
     pitman_M,
@@ -375,6 +376,8 @@ def test_c09_speed_bernoulli_quarter():
     est = speed_estimate(1, INF, bernoulli(0.25), t_max=2000, replicas=32,
                          rng=42)
     dt = time.monotonic() - t0
+    nu = dual_measure(1, INF, bernoulli(0.25))
+    assert abs(est.theoretical - palm_step_mean(1, INF, bernoulli(0.25), nu)) < 1e-11
     rel = abs(est.ratio_estimate - 2.0) / 2.0
     report("9a", rel < 0.05 and dt < 120.0,
            f"(1,inf) Bernoulli(0.25): estimate={est.ratio_estimate:.4f}, "
@@ -388,6 +391,7 @@ def test_c09_speed_stbgeo_three_five():
     t0 = time.monotonic()
     est = speed_estimate(3, 5, mu, t_max=2000, replicas=32, rng=42)
     dt = time.monotonic() - t0
+    assert abs(est.theoretical - palm_step_mean(3, 5, mu, nu)) < 1e-12
     rel = abs(est.ratio_estimate - theory) / theory
     agree = abs(est.theoretical - theory) < 1e-10
     report("9b", rel < 0.05 and dt < 120.0 and agree,
@@ -398,7 +402,7 @@ def test_c09_speed_stbgeo_three_five():
 
 def test_c09c_speed_duality():
     # v_{J,K}(mu) v_{K,J}(nu) = 1 for the dual pair: each side and the product
-    # (delta method) within 4 standard errors, speeds read as displacements
+    # (delta method) within 4 standard errors
     t0 = time.monotonic()
     lines, ok = [], True
     for J, K, mu in ((1, INF, bernoulli(0.25)), (3, 5, stbgeo(3, 0.5, 1, 1)),
@@ -407,8 +411,7 @@ def test_c09c_speed_duality():
         sides = []
         for j, k, m in ((J, K, mu), (K, J, nu)):
             est = speed_estimate(j, k, m, t_max=1000, replicas=16, rng=7)
-            v = np.array([(r["x_final"] - r["x0"]) / est.t_max for r in est.per_replica])
-            sides.append((v.mean(), v.std(ddof=1) / np.sqrt(len(v)), est.theoretical))
+            sides.append((est.ratio_estimate, est.std_error, est.theoretical))
         (v1, s1, th1), (v2, s2, th2) = sides
         z = ((v1 - th1) / s1, (v2 - th2) / s2, (v1 * v2 - 1) / np.hypot(v2 * s1, v1 * s2))
         ok &= max(map(abs, z)) < 4 and abs(th1 * th2 - 1) < 1e-9

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -593,7 +594,7 @@ def test_measure_oracle(capsys):
     assert dev < 1e-12
 
 
-def test_speed_cli_jsonl_and_strict(tmp_path, capsys):
+def test_speed_cli_jsonl_and_strict(tmp_path, capsys, monkeypatch):
     out = tmp_path / "speed.jsonl"
     code = run(["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
                 "--t-max", "200", "--replicas", "4", "--seed", "42",
@@ -605,11 +606,35 @@ def test_speed_cli_jsonl_and_strict(tmp_path, capsys):
     assert records[0]["record"] == "meta"
     assert records[-1]["record"] == "summary"
     assert sum(1 for r in records if r["record"] == "replica") == 4
-    # strict mode with an absurd tolerance trips the statistical exit code
-    code = run(["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
-                "--t-max", "50", "--replicas", "2", "--seed", "1",
-                "--strict", "--tol-rel", "1e-9"])
-    assert code == 4
+    # strict mode fails an estimate more than 4 standard errors from theory
+    real = cli.speed_estimate
+
+    def off_by(k):
+        def estimate(*args):
+            est = real(*args)
+            return dataclasses.replace(
+                est, ratio_estimate=est.theoretical + k * est.std_error)
+        return estimate
+
+    for k, want in ((3, 0), (-3, 0), (5, 4), (-5, 4)):
+        monkeypatch.setattr(cli, "speed_estimate", off_by(k))
+        code = run(["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
+                    "--t-max", "50", "--replicas", "4", "--seed", "1", "--strict"])
+        assert code == want, k
+        assert ("exceeds 4 standard errors" in capsys.readouterr().out) == (want == 4)
+
+
+def test_speed_strict_exact_estimate_and_one_replica(capsys):
+    # at (5, 3) under Bernoulli(0.3) every ball moves one site a step, so the
+    # Palm estimate is exact: the standard error is 0 and strict mode passes
+    assert run(["speed", "--J", "5", "--K", "3", "--mu", "bernoulli:0.3",
+                "--seed", "251511668967558", "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert "estimate=1 std_error=0 theoretical=1 " in out
+    # one replica has no standard error to test against
+    assert run(["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
+                "--t-max", "20", "--replicas", "1", "--seed", "1", "--strict"]) == 2
+    assert "--replicas" in capsys.readouterr().err
 
 
 def test_seed_echoed_when_omitted(capsys):
@@ -669,7 +694,7 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
                  "--boundary", "iid", "--currents", "1,0,2,1,0", "--out", iid]) == 0
     capsys.readouterr()
     calls = [
-        ["speed", "--config-file", str(cfg), "--strict", "--tol-rel", "1e-12"],
+        ["speed", "--config-file", str(cfg), "--strict"],
         ["speed", "--J", "1", "--K", "inf", "--mu", "bernoulli:0.25",
          "--replicas", "1", "--seed", "3"],
         ["measure", "classify", "--J", "1", "--K", "2", "--mu", "bernoulli:0.25"],
@@ -699,7 +724,8 @@ def test_main_calls_share_no_state(tmp_path, capsys, monkeypatch):
     assert cached[:len(calls)] == fresh
     assert cached[len(calls):] == fresh[::-1]
     codes = [c[0] for c in fresh]
-    assert codes == [4, 0, 0, 0, 0, ("exit", 2), 0, 0, 0]
+    # a leaked --strict would make the one-replica call a usage error
+    assert codes == [0, 0, 0, 0, 0, ("exit", 2), 0, 0, 0]
     assert fresh[-1][1].startswith("violations=0 ")
     assert "t_max=40 replicas=2" in fresh[0][1] and "t_max=2000 replicas=1" in fresh[1][1]
     assert "t_max=30 replicas=2" in fresh[3][1]

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -30,9 +29,9 @@ from boxball import experiments
 from boxball.capacities import is_finite
 from boxball.errors import InvalidParams, Undetermined
 from boxball.local_rules import exchange_form, exchange_map, local_map, local_map_array
-from boxball.measures import sample_pmf
+from boxball.measures import mean_occupancy, sample_pmf
 
-from paper_views import tagged_evolve
+from paper_views import label_balls, palm_step_mean, tagged_evolve
 
 
 def test_rng_substreams_reproducible_and_distinct():
@@ -40,9 +39,11 @@ def test_rng_substreams_reproducible_and_distinct():
     b = RngSpec(7, 0).stream("window").random(4)
     c = RngSpec(7, 1).stream("window").random(4)
     d = RngSpec(7, 0).stream("currents").random(4)
+    e = RngSpec(7, 0).stream("tag").random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    assert not np.array_equal(a, e) and not np.array_equal(d, e)
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +342,27 @@ def test_speed_smoke_and_reproducible():
     assert est2.ratio_estimate == est.ratio_estimate
 
 
+def _palm_pick(mu, spec):
+    """Site 1's occupancy a (size-biased) and the tagged ball's rank r in 1..a,
+    drawn from the replica's tag stream."""
+    tag = spec.stream("tag")
+    palm = Pmf(tuple(a * w / mean_occupancy(mu) for a, w in enumerate(mu.weights)))
+    a = int(sample_pmf(palm, tag, 1)[0])
+    return a, 1 + int(tag.integers(a))
+
+
 def test_speed_tracker_matches_tagged_evolve(monkeypatch):
     # a small draw chunk so that every ball crosses several chunks; the
-    # regimes run in one test so that it keeps its id
+    # regimes run in one test so that it keeps its id; seven replicas so
+    # that some tagged balls are not the bottom ball of site 1
     chunk = 16
     monkeypatch.setattr(experiments, "_DRAW_CHUNK", chunk)
-    t_max, master = 100, 99
+    t_max, master, ranks = 100, 99, set()
     for J, K, mu in [(2, 5, stbgeo(2, 0.5, 1, 1)),        # J < K < inf
                      (4, 2, uniform(4)),                  # J > K
                      (1, INF, bernoulli(0.25)),           # K = inf
                      (INF, 2, stbgeo(INF, 0.5, 1, 1))]:   # J = inf
-        est = speed_estimate(J, K, mu, t_max=t_max, replicas=3, rng=master)
+        est = speed_estimate(J, K, mu, t_max=t_max, replicas=7, rng=master)
         nu = classify_invariant(J, K, mu).dual
         for rec in est.per_replica:
             assert rec["attempt"] == 0
@@ -360,59 +371,61 @@ def test_speed_tracker_matches_tagged_evolve(monkeypatch):
             L = int(rec["window"])
             assert rec["cells"] == sum(min(d + 1, t_max) for d in range(L))
             eta = sample_pmf(mu, spec.stream("window"), L)
+            eta[0], r = _palm_pick(mu, spec)
             currents = sample_pmf(nu, spec.stream("currents"), t_max)
             c = Config(1, tuple(int(v) for v in eta), J,
                        IidInvariant(tuple(int(v) for v in currents)))
-            traj, _ = tagged_evolve(J, K, c, t_max)
-            assert traj[0][0] == int(rec["x0"]), (J, K)
+            traj, _ = tagged_evolve(J, K, c, t_max, tracked=label_balls(c)[0][r - 1])
+            assert traj[0] == (1, r), (J, K)
             assert traj[-1][0] == int(rec["x_final"]), (J, K)
+            ranks.add(r)
+    assert ranks >= {1, 2, 3}
 
 
-def test_tracker_chunked_draws_equal_one_draw(monkeypatch):
-    monkeypatch.setattr(experiments, "_DRAW_CHUNK", 7)
+def test_tracker_chunked_draws_equal_one_draw():
+    # the tracker draws a replica's sites in chunks from one generator, and
+    # the replay of test_speed_tracker_matches_tagged_evolve draws them at once
     mu = stbgeo(INF, 0.5, 1, 1)
-    chunks = list(itertools.islice(
-        experiments._draw_sites(mu, RngSpec(3, 1).stream("window")), 15))
-    assert all(isinstance(c, np.ndarray) and len(c) == 7 for c in chunks)
+    g = RngSpec(3, 1).stream("window")
+    chunks = [sample_pmf(mu, g, 7) for _ in range(15)]
     whole = sample_pmf(mu, RngSpec(3, 1).stream("window"), 15 * 7)
-    assert [v for c in chunks for v in c] == whole.tolist()
+    assert np.concatenate(chunks).tolist() == whole.tolist()
 
 
 _CAPS = st.sampled_from([1, 2, 3, 5, INF])
 
 
-# (x0, x_final, window, cells) of replicas 0 and 1, master seed 99, recorded
-# from the tracker that mapped only the rows already joined (a lane ramp)
-# and drew the sites one at a time
+# (x_final, window, cells) of replicas 0 and 1, master seed 99, each
+# replayed ball by ball with tagged_evolve when recorded
 _GOLDEN_TRACKS = [
     (2, 5, stbgeo(2, 0.5, 1, 1), {
-        1: [(1, 2, 2, 2), (3, 5, 5, 5)],
-        2: [(1, 3, 4, 7), (3, 6, 7, 13)],
-        3: [(1, 5, 7, 18), (3, 8, 10, 27)],
-        100: [(1, 168, 267, 21750), (3, 167, 266, 21650)]}),
+        1: [(2, 2, 2), (2, 2, 2)],
+        2: [(3, 4, 7), (3, 4, 7)],
+        3: [(5, 7, 18), (4, 6, 15)],
+        100: [(168, 267, 21750), (165, 264, 21450)]}),
     (4, 2, uniform(4), {
-        1: [(1, 1, 1, 1), (1, 2, 2, 2)],
-        2: [(1, 1, 2, 3), (1, 2, 3, 5)],
-        3: [(1, 2, 4, 9), (1, 3, 5, 12)],
-        100: [(1, 50, 149, 9950), (1, 52, 151, 10150)]}),
+        1: [(2, 2, 2), (2, 2, 2)],
+        2: [(3, 4, 7), (3, 4, 7)],
+        3: [(4, 6, 15), (4, 6, 15)],
+        100: [(51, 150, 10050), (53, 152, 10250)]}),
     (1, INF, bernoulli(0.25), {
-        1: [(1, 2, 2, 2), (4, 5, 5, 5)],
-        2: [(1, 4, 5, 9), (4, 6, 7, 13)],
-        3: [(1, 7, 9, 24), (4, 7, 9, 24)],
-        100: [(1, 180, 279, 22950), (4, 186, 285, 23550)],
-        2000: [(1, 4204, 6203, 10407000)]}),
+        1: [(2, 2, 2), (2, 2, 2)],
+        2: [(4, 5, 9), (3, 4, 7)],
+        3: [(7, 9, 24), (4, 6, 15)],
+        100: [(180, 279, 22950), (184, 283, 23350)],
+        2000: [(4204, 6203, 10407000)]}),
     (INF, 2, stbgeo(INF, 0.5, 1, 1), {
-        1: [(1, 2, 2, 2), (1, 2, 2, 2)],
-        2: [(1, 3, 4, 7), (1, 3, 4, 7)],
-        3: [(1, 4, 6, 15), (1, 4, 6, 15)],
-        100: [(1, 59, 158, 10850), (1, 59, 158, 10850)]}),
+        1: [(2, 2, 2), (2, 2, 2)],
+        2: [(3, 4, 7), (3, 4, 7)],
+        3: [(4, 6, 15), (4, 6, 15)],
+        100: [(59, 158, 10850), (59, 158, 10850)]}),
     (3, 5, stbgeo(3, 0.5, 1, 1), {
-        2000: [(1, 2536, 4535, 7071000)]}),
+        2000: [(2536, 4535, 7071000)]}),
 ]
 
 
 def _track(rec):
-    return tuple(int(rec[k]) for k in ("x0", "x_final", "window", "cells"))
+    return tuple(int(rec[k]) for k in ("x_final", "window", "cells"))
 
 
 def test_tracker_golden_records():
@@ -420,8 +433,8 @@ def test_tracker_golden_records():
         for t_max, want in by_t.items():
             est = speed_estimate(J, K, mu, t_max=t_max, replicas=len(want), rng=99)
             assert [_track(r) for r in est.per_replica] == want, (J, K, t_max)
-            for rec, (_, x_final, window, _) in zip(est.per_replica, want):
-                assert rec["ratio"] == x_final / t_max and rec["attempt"] == 0
+            for rec, (x_final, _, _) in zip(est.per_replica, want):
+                assert rec["ratio"] == (x_final - 1) / t_max and rec["attempt"] == 0
 
 
 def test_tracker_batching_and_chunking_leave_records_unchanged(monkeypatch):
@@ -449,7 +462,8 @@ def test_tracker_batching_and_chunking_leave_records_unchanged(monkeypatch):
 
 
 def test_tracker_promotes_state_mid_run(monkeypatch):
-    # the balls entered (row currents and drawn sites) leave the int16 range
+    # the balls entered (row currents, the Palm site 1 and the drawn sites
+    # after it) leave the int16 range
     # of exchange_form after the first draw chunk and before the last; every
     # diagonal of the chunk that crosses it, and after, maps int64 lanes, and
     # diagonal d maps the min(d + 1, t_max) lanes of the rows joined
@@ -462,11 +476,12 @@ def test_tracker_promotes_state_mid_run(monkeypatch):
 
     monkeypatch.setattr(experiments, "exchange_map", spy)
     rec, = speed_estimate(J, K, mu, t_max=t_max, replicas=1, rng=master).per_replica
-    assert _track(rec) == (2, 165, 1664, 1371750)
+    assert _track(rec) == (163, 1662, 1368750)
     spec, nu = RngSpec(master, 0), classify_invariant(J, K, mu).dual
     chunk, window = experiments._DRAW_CHUNK, int(rec["window"])
     n_chunks = -(-window // chunk)
     sites = sample_pmf(mu, spec.stream("window"), n_chunks * chunk)
+    sites[0], _ = _palm_pick(mu, spec)
     balls = (int(sample_pmf(nu, spec.stream("currents"), t_max).sum())
              + np.cumsum(sites.reshape(n_chunks, chunk).sum(axis=1)))
     dtypes = [exchange_form(J, K, int(b))[1] for b in balls]
@@ -577,14 +592,28 @@ def test_speed_jsonl_records():
     assert len(recs) == 3
 
 
-def test_speed_error_shrinks_with_t_max():
-    # replica counts scale down with t so each scale has comparable noise,
-    # well below the O(1/t) start-position bias at the smallest scale
-    errs = []
-    for t_max, reps in ((100, 256), (400, 96), (1600, 48)):
-        est = speed_estimate(1, INF, bernoulli(0.25), t_max=t_max,
-                             replicas=reps, rng=5)
-        errs.append(abs(est.ratio_estimate - est.theoretical))
-    assert errs[2] < errs[1] < errs[0]
-    assert errs[2] < 0.015
+def test_speed_estimate_is_unbiased_at_small_t_max():
+    # a Palm-tagged ball moves t_max E nu / E mu in expectation at every
+    # t_max, so a short run's estimate is within 4 standard errors of theory;
+    # tagging the left-most ball at a site >= 1 instead puts these estimates
+    # 9 to 54 standard errors off
+    for J, K, mu in [(1, INF, bernoulli(0.25)), (3, 5, stbgeo(3, 0.5, 1, 1)),
+                     (2, 4, stbgeo(2, 0.6, 1, 1)), (5, 3, bernoulli(0.3))]:
+        est = speed_estimate(J, K, mu, t_max=10, replicas=2000, rng=1)
+        if (J, K) == (5, 3):    # a + b <= 2 <= min(J, K): every ball moves one site a step
+            assert est.std_error == 0 and est.ratio_estimate == est.theoretical
+        else:
+            z = (est.ratio_estimate - est.theoretical) / est.std_error
+            assert abs(z) <= 4, (J, K, z)
+
+
+def test_palm_step_mean_equals_speed_theory():
+    # the exact one-step mean of a Palm ball is E nu / E mu (mass transport);
+    # at K = inf nu is cut at 1e-13
+    for J, K, mu, tol in [(3, 5, stbgeo(3, 0.5, 1, 1), 1e-12), (5, 3, bernoulli(0.3), 1e-12),
+                          (4, 2, uniform(4), 1e-12), (2, 4, stbgeo(2, 0.6, 1, 1), 1e-12),
+                          (1, INF, bernoulli(0.25), 1e-11)]:
+        nu = classify_invariant(J, K, mu).dual
+        theory = mean_occupancy(nu) / mean_occupancy(mu)
+        assert abs(palm_step_mean(J, K, mu, nu) - theory) <= tol, (J, K)
 
